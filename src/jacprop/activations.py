@@ -1,9 +1,11 @@
 """Activation functions and their Jacobians.
 
 Supported kinds: identity, logistic, tanh, softplus, relu, leaky_relu
-(elementwise) and softmax (multivariate). Every kind comes as a pair of
-a value function and an exact Jacobian function, which is what the
-forward Jacobian pass requires of each layer.
+(elementwise) and softmax (multivariate). One table maps every kind to
+its value function and, for elementwise kinds, to its exact slope
+computed from the weighted input z and the stored value a (tanh' = 1-a^2,
+logistic' = a(1-a)), which is what the forward Jacobian pass requires of
+each layer.
 
 relu and leaky_relu are not differentiable at exactly 0; the behaviour
 there is controlled by ``relu_zero_policy``:
@@ -93,32 +95,54 @@ def _logistic(z: np.ndarray) -> np.ndarray:
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
+    if np.size(z) < 1:
+        raise ValueError("softmax requires a vector of length >= 1")
     shifted = np.exp(z - np.max(z))
     return shifted / np.sum(shifted)
 
 
+def _kinked_slope(spec: ActivationSpec, z: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    negative_slope = 0.0 if spec.kind == "relu" else spec.alpha
+    deriv = np.where(z > 0.0, 1.0, negative_slope)
+    hits = [int(i) + 1 for i in np.flatnonzero(z == 0.0)]
+    if hits:
+        if spec.relu_zero_policy == "reject":
+            raise SingularityError(
+                f"{spec.kind} differentiated at its singular point z=0 (coordinate {hits[0]})",
+                coordinate=hits[0],
+            )
+        if spec.relu_zero_policy == "derivative_one":
+            deriv[z == 0.0] = 1.0
+        # derivative_zero keeps the negative-branch slope already in place
+    return deriv, hits
+
+
+# kind -> (value(spec, z), slope(spec, z, a) -> (diagonal, singular coordinates));
+# softmax has no diagonal slope, see softmax_jacobian
+_TABLE = {
+    "identity": (lambda spec, z: z.copy(), lambda spec, z, a: (np.ones_like(z), [])),
+    "logistic": (lambda spec, z: _logistic(z), lambda spec, z, a: (a * (1.0 - a), [])),
+    "tanh": (lambda spec, z: np.tanh(z), lambda spec, z, a: (1.0 - a * a, [])),
+    # z + log1p(exp(-z)) for positive z, log1p(exp(z)) otherwise
+    "softplus": (lambda spec, z: np.logaddexp(0.0, z), lambda spec, z, a: (_logistic(z), [])),
+    "relu": (lambda spec, z: np.maximum(z, 0.0), _kinked_slope),
+    "leaky_relu": (lambda spec, z: np.where(z > 0.0, z, spec.alpha * z), _kinked_slope),
+    "softmax": (lambda spec, z: softmax(z), None),
+}
+
+
 def activation_apply(spec: ActivationSpec, z) -> np.ndarray:
     """Apply the activation to a weighted-input vector."""
-    arr = _as_finite_vector(z, "activation input")
-    kind = spec.kind
-    if kind == "identity":
-        return arr.copy()
-    if kind == "logistic":
-        return _logistic(arr)
-    if kind == "tanh":
-        return np.tanh(arr)
-    if kind == "softplus":
-        # z + log1p(exp(-z)) for positive z, log1p(exp(z)) otherwise
-        return np.logaddexp(0.0, arr)
-    if kind == "relu":
-        return np.maximum(arr, 0.0)
-    if kind == "leaky_relu":
-        return np.where(arr > 0.0, arr, spec.alpha * arr)
-    if kind == "softmax":
-        if arr.size < 1:
-            raise ValueError("softmax requires a vector of length >= 1")
-        return softmax(arr)
-    raise AssertionError(f"unhandled kind {kind!r}")
+    return _TABLE[spec.kind][0](spec, _as_finite_vector(z, "activation input"))
+
+
+def _slope(spec: ActivationSpec, z: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Diagonal Jacobian and singular coordinates of an elementwise activation.
+
+    Computed from the stored input z and value a = activation_apply(spec, z),
+    neither of which is checked again.
+    """
+    return _TABLE[spec.kind][1](spec, z, a)
 
 
 def elementwise_derivative(spec: ActivationSpec, z) -> tuple[np.ndarray, list[int]]:
@@ -131,31 +155,7 @@ def elementwise_derivative(spec: ActivationSpec, z) -> tuple[np.ndarray, list[in
     if spec.kind not in ELEMENTWISE_KINDS:
         raise ValueError(f"{spec.kind!r} is not an elementwise activation")
     arr = _as_finite_vector(z, "activation input")
-    kind = spec.kind
-    if kind == "identity":
-        return np.ones_like(arr), []
-    if kind == "logistic":
-        s = _logistic(arr)
-        return s * (1.0 - s), []
-    if kind == "tanh":
-        t = np.tanh(arr)
-        return 1.0 - t * t, []
-    if kind == "softplus":
-        return _logistic(arr), []
-    # relu / leaky_relu
-    negative_slope = 0.0 if kind == "relu" else spec.alpha
-    deriv = np.where(arr > 0.0, 1.0, negative_slope)
-    hits = [int(i) + 1 for i in np.flatnonzero(arr == 0.0)]
-    if hits:
-        if spec.relu_zero_policy == "reject":
-            raise SingularityError(
-                f"{kind} differentiated at its singular point z=0 (coordinate {hits[0]})",
-                coordinate=hits[0],
-            )
-        if spec.relu_zero_policy == "derivative_one":
-            deriv[arr == 0.0] = 1.0
-        # derivative_zero keeps the negative-branch slope already in place
-    return deriv, hits
+    return _slope(spec, arr, _TABLE[spec.kind][0](spec, arr))
 
 
 def softmax_jacobian(z) -> np.ndarray:

@@ -167,10 +167,10 @@ def _cmd_forward(args) -> int:
 def _cmd_jacobian(args) -> int:
     model = _load_model_for(args)
     vec = _load_input(args)
+    layer = args.layer if args.layer is not None else model.layer_count
+    if not 1 <= layer <= model.layer_count:
+        raise _UsageError(f"--layer must be in [1, {model.layer_count}], got {layer}")
     trace = jacobian_forward(model, vec)
-    layer = args.layer if args.layer is not None else trace.layer_count
-    if not 1 <= layer <= trace.layer_count:
-        raise _UsageError(f"--layer must be in [1, {trace.layer_count}], got {layer}")
     matrix = jacobian_at_layer(trace, layer)
     if args.format == "csv":
         sys.stdout.write(emit_matrix(matrix))

@@ -9,9 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ModelValidationError, NonFiniteError
+from .errors import DimensionMismatchError, NonFiniteError
 from .instrumentation import EvalCounter
-from .model import LayeredModel, _propagate, as_input_vector, validate_model
+from .model import LayeredModel, _checked_input, _layer_values
 
 SCHEMES = frozenset({"forward", "central"})
 
@@ -48,10 +48,10 @@ class ComparisonResult:
 
 def _probe_output(model: LayeredModel, vec: np.ndarray, counter, probe: str) -> np.ndarray:
     try:
-        activations, _ = _propagate(model, vec, counter)
+        *_, (_, _, _, output) = _layer_values(model, vec, counter)
     except NonFiniteError as exc:
         raise NonFiniteError(f"non-finite model output at probe {probe}: {exc}") from None
-    return activations[-1]
+    return output
 
 
 def finite_difference_jacobian(
@@ -63,10 +63,7 @@ def finite_difference_jacobian(
     Central scheme: column j = (F(x + h e_j) - F(x - h e_j)) / (2h).
     """
     cfg = cfg or FDConfig()
-    violations = validate_model(model)
-    if violations:
-        raise ModelValidationError(violations)
-    vec = as_input_vector(x, model.input_dim)
+    vec = _checked_input(model, x)
     m = model.input_dim
     jac = np.empty((model.output_dim, m), dtype=np.float64)
     h = cfg.step

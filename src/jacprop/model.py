@@ -190,43 +190,45 @@ def as_input_vector(x, input_dim: int) -> np.ndarray:
     return arr
 
 
-def _propagate(
-    model: LayeredModel, vec: np.ndarray, counter: EvalCounter | None = None
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """One value pass; returns (activations a^[1..L], weighted inputs z^[2..L]).
+def _checked_input(model: LayeredModel, x) -> np.ndarray:
+    """Validate the model and coerce x; the boundary checks of every pass."""
+    violations = validate_model(model)
+    if violations:
+        raise ModelValidationError(violations)
+    return as_input_vector(x, model.input_dim)
 
-    Assumes the model already validated and ``vec`` checked. Errors name
-    network layers (2..L).
+
+def _layer_values(model: LayeredModel, vec: np.ndarray, counter: EvalCounter | None = None):
+    """The value pass, one layer at a time: yields (net_layer, layer, z, a).
+
+    The only place that computes z = W a and the activation, for forward,
+    the finite-difference probes and the Jacobian pass alike. It is lazy,
+    so a consumer's own error at layer l (a relu kink under ``reject``)
+    still comes before anything at layer l+1. Each z and a is checked
+    once; errors name network layers (2..L). Assumes the model already
+    validated and ``vec`` checked.
     """
     if counter is not None:
         counter.count_model_eval()
-    activations = [vec]
-    weighted_inputs: list[np.ndarray] = []
     a = vec
-    for idx, layer in enumerate(model.layers):
-        net_layer = idx + 2
+    for net_layer, layer in enumerate(model.layers, start=2):
         src = np.append(a, 1.0) if layer.bias_folded else a
         z = layer.weights @ src
         if counter is not None:
             counter.count_weighted_input()
-        if not np.all(np.isfinite(z)):
-            raise NonFiniteError(f"non-finite weighted input at layer {net_layer}")
-        a = activation_apply(layer.activation, z)
+        try:
+            a = activation_apply(layer.activation, z)  # checks z
+        except NonFiniteError:
+            raise NonFiniteError(f"non-finite weighted input at layer {net_layer}") from None
         if not np.all(np.isfinite(a)):
             raise NonFiniteError(f"non-finite activation at layer {net_layer}")
-        weighted_inputs.append(z)
-        activations.append(a)
-    return activations, weighted_inputs
+        yield net_layer, layer, z, a
 
 
 def forward(model: LayeredModel, x, counter: EvalCounter | None = None) -> list[np.ndarray]:
     """Evaluate the model, returning all activations a^[1..L] (last is y)."""
-    violations = validate_model(model)
-    if violations:
-        raise ModelValidationError(violations)
-    vec = as_input_vector(x, model.input_dim)
-    activations, _ = _propagate(model, vec, counter)
-    return activations
+    vec = _checked_input(model, x)
+    return [vec] + [a for _, _, _, a in _layer_values(model, vec, counter)]
 
 
 def prefix_model(model: LayeredModel, layer: int) -> LayeredModel:

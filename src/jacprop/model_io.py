@@ -32,7 +32,7 @@ import numpy as np
 from .activations import ActivationSpec, KINDS, ZERO_POLICIES
 from .errors import FormatError, ModelValidationError, NonFiniteError
 from .model import InstanceVector, LayerDef, LayeredModel, fold_bias, validate_model
-from .sensitivity import SensitivityReport
+from .sensitivity import SensitivityReport, _checked_k
 
 _TOP_KEYS = {"schema_version", "input_dim", "layers"}
 _LAYER_KEYS = {"weights", "bias", "activation"}
@@ -247,17 +247,13 @@ def report_to_json(
     singular_hits=(),
     k: int | None = None,
 ) -> str:
-    """Serialize a sensitivity report; ``k`` truncates the rankings only."""
-    feature_ranking = list(report.feature_ranking)
-    output_ranking = list(report.output_ranking)
-    if k is not None:
-        feature_ranking = feature_ranking[: max(int(k), 0)]
-        output_ranking = output_ranking[: max(int(k), 0)]
+    """Serialize a sensitivity report; ``k`` (>= 1) truncates the rankings only."""
+    n = None if k is None else _checked_k(k)
     doc = {
         "feature_scores": [float(v) for v in report.feature_scores],
         "output_scores": [float(v) for v in report.output_scores],
-        "feature_ranking": feature_ranking,
-        "output_ranking": output_ranking,
+        "feature_ranking": list(report.feature_ranking[:n]),
+        "output_ranking": list(report.output_ranking[:n]),
         "singular_hits": [[int(layer), int(coord)] for layer, coord in singular_hits],
         "same_unit": bool(report.same_unit),
     }
@@ -265,13 +261,13 @@ def report_to_json(
 
 
 def report_to_csv(report: SensitivityReport, k: int | None = None) -> str:
-    """CSV rows of (axis, index, score) in ranking order; ``k`` truncates."""
+    """CSV rows of (axis, index, score) in ranking order; ``k`` (>= 1) truncates."""
+    n = None if k is None else _checked_k(k)
     lines = []
     for axis, ranking, scores in (
         ("feature", report.feature_ranking, report.feature_scores),
         ("output", report.output_ranking, report.output_scores),
     ):
-        chosen = ranking if k is None else ranking[: max(int(k), 0)]
-        for index in chosen:
+        for index in ranking[:n]:
             lines.append(f"{axis},{index},{_format_entry(scores[index - 1])}")
     return "\n".join(lines) + "\n"

@@ -54,6 +54,13 @@ def build_report(jacobian, same_unit: bool = False) -> SensitivityReport:
     )
 
 
+def _checked_k(k) -> int:
+    k = int(k)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return k
+
+
 def top_k(report: SensitivityReport, axis: str, k: int) -> list[tuple[int, float]]:
     """First min(k, axis length) (index, score) pairs of the chosen ranking."""
     if axis == "feature":
@@ -62,7 +69,4 @@ def top_k(report: SensitivityReport, axis: str, k: int) -> list[tuple[int, float
         ranking, scores = report.output_ranking, report.output_scores
     else:
         raise ValueError(f"axis must be 'feature' or 'output', got {axis!r}")
-    k = int(k)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return [(index, float(scores[index - 1])) for index in ranking[: min(k, len(ranking))]]
+    return [(index, float(scores[index - 1])) for index in ranking[: _checked_k(k)]]

@@ -13,6 +13,7 @@ from jacprop import (
     activation_apply,
     activation_jacobian,
     elementwise_derivative,
+    softmax_jacobian,
 )
 from helpers import fd_activation_jacobian, make_spec
 
@@ -108,6 +109,19 @@ class TestJacobian:
 
 
 class TestSoftmaxProperties:
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            lambda z: activation_apply(ActivationSpec("softmax"), z),
+            softmax_jacobian,
+            lambda z: activation_jacobian(ActivationSpec("softmax"), z),
+        ],
+        ids=["apply", "softmax_jacobian", "activation_jacobian"],
+    )
+    def test_empty_vector_rejected(self, fn):
+        with pytest.raises(ValueError, match="softmax requires a vector of length >= 1"):
+            fn([])
+
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=8))
     def test_values_sum_to_one(self, z):
         assert float(np.sum(activation_apply(ActivationSpec("softmax"), z))) == pytest.approx(1.0, abs=1e-12)

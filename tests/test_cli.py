@@ -99,6 +99,14 @@ class TestJacobian:
         result = run_cli("jacobian", "--model", models["minimal"], "--input", "1,1", "--layer", "9")
         assert result.returncode == 1
 
+    def test_layer_checked_before_the_pass(self, models):
+        # the pass would stop at a kink (exit 3); the range check comes first
+        result = run_cli(
+            "jacobian", "--model", models["relu"], "--input", "0,5", "--strict-singularities", "--layer", "9"
+        )
+        assert result.returncode == 1
+        assert "--layer must be in [1, 2], got 9" in result.stderr
+
     def test_singular_hit_warns_on_stderr(self, models):
         result = run_cli("jacobian", "--model", models["relu"], "--input", "0,5")
         assert result.returncode == 0

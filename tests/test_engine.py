@@ -59,14 +59,9 @@ class TestAlgorithm:
         trace = jacobian_forward(model, x)
         m = model.input_dim
         assert trace.full.shape == (3, m)
-        assert [(l, J.shape) for l, J in trace.per_layer] == [
-            (1, (4, 4)),
-            (2, (5, 4)),
-            (3, (5, 4)),
-            (4, (3, 4)),
-        ]
-        assert np.array_equal(trace.per_layer[0][1], np.eye(m))
-        assert trace.per_layer[-1][1] is trace.full
+        assert [J.shape for J in trace.per_layer] == [(4, 4), (5, 4), (5, 4), (3, 4)]
+        assert np.array_equal(trace.per_layer[0], np.eye(m))
+        assert trace.per_layer[-1] is trace.full
         assert [a.shape[0] for a in trace.activations] == [4, 5, 5, 3]
         assert [z.shape[0] for z in trace.weighted_inputs] == [5, 5, 3]
         # the trace snapshots the forward pass exactly
@@ -186,6 +181,28 @@ class TestErrors:
         model = _identity_model([np.full((1, 1), 1e308), np.full((1, 1), 1e308)], input_dim=1)
         with pytest.raises(NonFiniteError, match="layer 3"):
             jacobian_forward(model, [1.0])
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_errors_keep_layer_order(self):
+        # a relu kink at layer 2 and an overflow at layer 3: the Jacobian
+        # pass stops at the kink before layer 3 is evaluated, forward (which
+        # never differentiates) reaches the overflow
+        model = LayeredModel(
+            layers=(
+                LayerDef(
+                    weights=np.array([[1.0, -1.0], [1.0, 1.0]]),
+                    activation=ActivationSpec("relu", relu_zero_policy="reject"),
+                ),
+                LayerDef(weights=np.full((1, 2), 1e308), activation=ActivationSpec("identity")),
+                LayerDef(weights=np.full((1, 1), 1e308), activation=ActivationSpec("identity")),
+            ),
+            input_dim=2,
+        )
+        with pytest.raises(SingularityError) as excinfo:
+            jacobian_forward(model, [1.0, 1.0])
+        assert (excinfo.value.layer, excinfo.value.coordinate) == (2, 1)
+        with pytest.raises(NonFiniteError, match="layer 3"):
+            forward(model, [1.0, 1.0])
 
     def test_trace_matrices_read_only(self):
         model, x = spec_seed7_model()

@@ -245,3 +245,12 @@ class TestReportSerialization:
         lines = report_to_csv(report).strip().split("\n")
         assert lines == ["feature,2,2", "feature,1,1", "output,2,2", "output,1,1"]
         assert report_to_csv(report, k=1).strip().split("\n") == ["feature,2,2", "output,2,2"]
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected_like_top_k(self, k):
+        report = build_report([[1.0, 0.0], [0.0, 2.0]])
+        message = f"k must be >= 1, got {k}"
+        with pytest.raises(ValueError, match=message):
+            report_to_csv(report, k=k)
+        with pytest.raises(ValueError, match=message):
+            report_to_json(report, k=k)
