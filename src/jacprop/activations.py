@@ -45,7 +45,7 @@ class ActivationSpec:
     relu_zero_policy: str | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if not isinstance(self.kind, str) or self.kind not in KINDS:
             raise ValueError(f"unknown activation kind {self.kind!r}; expected one of {sorted(KINDS)}")
         if self.kind == "leaky_relu":
             if self.alpha is None:
@@ -57,8 +57,8 @@ class ActivationSpec:
         elif self.alpha is not None:
             raise ValueError(f"alpha is only valid for leaky_relu, not {self.kind!r}")
         if self.kind in _KINKED:
-            policy = self.relu_zero_policy or "derivative_zero"
-            if policy not in ZERO_POLICIES:
+            policy = "derivative_zero" if self.relu_zero_policy is None else self.relu_zero_policy
+            if not isinstance(policy, str) or policy not in ZERO_POLICIES:
                 raise ValueError(
                     f"unknown relu_zero_policy {policy!r}; expected one of {sorted(ZERO_POLICIES)}"
                 )
@@ -80,10 +80,11 @@ class ActivationJacobian:
     singular_hit: bool
 
 
-def _as_finite_vector(z, what: str) -> np.ndarray:
-    arr = np.asarray(z, dtype=np.float64)
+def _as_finite_vector(x, what: str, shape_error: type[Exception] = ValueError) -> np.ndarray:
+    """x as a float64 vector (no copy if it is one); ``shape_error`` if not 1-D, NonFiniteError if not finite."""
+    arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1:
-        raise ValueError(f"{what} must be a 1-D vector, got shape {arr.shape}")
+        raise shape_error(f"{what} must be a 1-D vector, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"{what} contains non-finite entries")
     return arr

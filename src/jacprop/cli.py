@@ -186,14 +186,16 @@ def _cmd_jacobian(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if not args.fd_step > 0:
-        raise _UsageError(f"--fd-step must be positive, got {args.fd_step}")
+    try:
+        fd_config = FDConfig(step=args.fd_step, scheme=args.fd_scheme)
+    except ValueError as exc:
+        raise _UsageError(f"--fd-step: {exc}") from None
     if not args.tolerance >= 0:
         raise _UsageError(f"--tolerance must be >= 0, got {args.tolerance}")
     model = _load_model_for(args)
     vec = _load_input(args)
     trace = jacobian_forward(model, vec)
-    estimate = finite_difference_jacobian(model, vec, FDConfig(step=args.fd_step, scheme=args.fd_scheme))
+    estimate = finite_difference_jacobian(model, vec, fd_config)
     result = compare_jacobians(trace.full, estimate, args.tolerance)
     row, col = result.argmax_location
     if args.format == "csv":
@@ -248,10 +250,9 @@ def run(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    except (OSError, FormatError, DimensionMismatchError, NonFiniteError) as exc:
+    except (
+        _UsageError, OSError, UnicodeDecodeError, FormatError, DimensionMismatchError, NonFiniteError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     except ModelValidationError as exc:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activations import ActivationSpec, activation_apply
+from .activations import ActivationSpec, _as_finite_vector, activation_apply
 from .errors import DimensionMismatchError, ModelValidationError, NonFiniteError
 from .instrumentation import EvalCounter
 
@@ -103,11 +103,7 @@ class InstanceVector:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ValueError(f"instance must be a 1-D vector, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteError("instance contains non-finite entries")
+        arr = _as_finite_vector(self.values, "instance")
         object.__setattr__(self, "values", _freeze(arr.copy()))
 
     def __len__(self) -> int:
@@ -174,15 +170,8 @@ def validate_model(model: LayeredModel) -> list[str]:
 
 
 def as_input_vector(x, input_dim: int) -> np.ndarray:
-    """Coerce an instance (InstanceVector or array-like) to a checked vector."""
-    if isinstance(x, InstanceVector):
-        arr = np.array(x.values, dtype=np.float64)
-    else:
-        arr = np.array(x, dtype=np.float64)
-        if arr.ndim != 1:
-            raise DimensionMismatchError(f"input must be a 1-D vector, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteError("input contains non-finite entries")
+    """Coerce an instance (InstanceVector or array-like) to a checked, fresh vector."""
+    arr = _as_finite_vector(x, "input", DimensionMismatchError).copy()
     if arr.shape[0] != input_dim:
         raise DimensionMismatchError(
             f"input length {arr.shape[0]} does not match model input_dim {input_dim}"

@@ -29,8 +29,8 @@ import json
 
 import numpy as np
 
-from .activations import ActivationSpec, KINDS, ZERO_POLICIES
-from .errors import FormatError, ModelValidationError, NonFiniteError
+from .activations import ActivationSpec
+from .errors import DimensionMismatchError, FormatError, ModelValidationError, NonFiniteError
 from .model import InstanceVector, LayerDef, LayeredModel, fold_bias, validate_model
 from .sensitivity import SensitivityReport, _checked_k
 
@@ -53,19 +53,11 @@ def _parse_activation(obj, where: str) -> ActivationSpec:
     if not isinstance(obj, dict):
         raise FormatError(f"{where}: activation must be an object")
     _require_keys(obj, _ACTIVATION_KEYS, where)
-    kind = obj.get("kind")
-    if kind not in KINDS:
-        raise FormatError(f"{where}: unknown activation kind {kind!r}; expected one of {sorted(KINDS)}")
     alpha = obj.get("alpha")
     if alpha is not None and not _is_number(alpha):
         raise FormatError(f"{where}: alpha must be a number")
-    policy = obj.get("relu_zero_policy")
-    if policy is not None and policy not in ZERO_POLICIES:
-        raise FormatError(
-            f"{where}: unknown relu_zero_policy {policy!r}; expected one of {sorted(ZERO_POLICIES)}"
-        )
     try:
-        return ActivationSpec(kind=kind, alpha=alpha, relu_zero_policy=policy)
+        return ActivationSpec(kind=obj.get("kind"), alpha=alpha, relu_zero_policy=obj.get("relu_zero_policy"))
     except ValueError as exc:
         raise FormatError(f"{where}: {exc}") from None
 
@@ -89,6 +81,12 @@ def _parse_weights(obj, where: str) -> np.ndarray:
     return np.array(obj, dtype=np.float64)
 
 
+def _parse_int(token: str):
+    # past 308 characters an integer may exceed float64 (and past 4300 digits
+    # int() refuses it); float() reads it as 1e400 is read, as +-inf
+    return int(token) if len(token) <= 308 else float(token)
+
+
 def load_model(text: str) -> LayeredModel:
     """Parse a model document, folding biases; the result passes validation.
 
@@ -97,7 +95,7 @@ def load_model(text: str) -> LayeredModel:
     structural invariants (dimension chain, finiteness).
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise FormatError(
             f"JSON syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -132,11 +130,10 @@ def load_model(text: str) -> LayeredModel:
         if folded:
             if not isinstance(bias, list) or not all(_is_number(v) for v in bias):
                 raise FormatError(f"{where}: bias must be an array of numbers")
-            if len(bias) != weights.shape[0]:
-                raise FormatError(
-                    f"{where}: bias length {len(bias)} does not match weight row count {weights.shape[0]}"
-                )
-            weights = fold_bias(weights, np.array(bias, dtype=np.float64))
+            try:
+                weights = fold_bias(weights, bias)
+            except DimensionMismatchError as exc:
+                raise FormatError(f"{where}: {exc}") from None
         layer_defs.append(LayerDef(weights=weights, activation=activation, bias_folded=folded))
 
     model = LayeredModel(layers=tuple(layer_defs), input_dim=input_dim)
@@ -198,6 +195,8 @@ def _parse_token(token: str, where: str) -> float:
     if not stripped:
         raise FormatError(f"malformed numeric token at {where}: empty field")
     try:
+        if "_" in stripped or not stripped.isascii():
+            raise ValueError  # float() takes "1_0" and non-ASCII digits; a token is a plain decimal
         value = float(stripped)
     except ValueError:
         raise FormatError(f"malformed numeric token at {where}: {stripped!r}") from None

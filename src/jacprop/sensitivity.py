@@ -33,8 +33,8 @@ class SensitivityReport:
 
 
 def _rank(scores: np.ndarray) -> tuple[int, ...]:
-    order = sorted(range(scores.shape[0]), key=lambda i: (-scores[i], i))
-    return tuple(i + 1 for i in order)
+    # stable: equal scores keep ascending index order
+    return tuple((np.argsort(-scores, kind="stable") + 1).tolist())
 
 
 def build_report(jacobian, same_unit: bool = False) -> SensitivityReport:

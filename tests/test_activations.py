@@ -179,8 +179,14 @@ class TestZeroPolicies:
 
 class TestSpecValidation:
     def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown activation kind"):
-            ActivationSpec("swish")
+        for kind in ("swish", ["relu"]):
+            with pytest.raises(ValueError, match="unknown activation kind"):
+                ActivationSpec(kind)
+
+    @pytest.mark.parametrize("policy", ["maybe", "", []])
+    def test_unknown_policy(self, policy):
+        with pytest.raises(ValueError, match="unknown relu_zero_policy"):
+            ActivationSpec("relu", relu_zero_policy=policy)
 
     def test_alpha_only_for_leaky(self):
         with pytest.raises(ValueError):

@@ -230,6 +230,28 @@ class TestInputHandling:
         result = run_cli("no-such-command")
         assert result.returncode == 1
 
+    @pytest.mark.parametrize(
+        "doc,vector,extra,code",
+        [
+            (b"\xff" + MINIMAL.encode(), b"1,1", (), 1),
+            (MINIMAL.encode(), b"\xff1,1", (), 1),
+            (MINIMAL.encode(), b"1,1", ("--fd-step", "inf"), 1),
+            (MINIMAL.replace('"identity"', '["relu"]').encode(), b"1,1", (), 1),
+            (MINIMAL.replace('"identity"', '"relu", "relu_zero_policy": []').encode(), b"1,1", (), 1),
+            (MINIMAL.replace("[[1, 2]]", f"[[{'9' * 400}, 2]]").encode(), b"1,1", (), 2),
+        ],
+        ids=["non-utf8-model", "non-utf8-input-file", "fd-step-inf", "kind-list", "policy-list", "huge-integer-weight"],
+    )
+    def test_input_faults_are_error_lines_not_tracebacks(self, tmp_path, doc, vector, extra, code):
+        model, vec = tmp_path / "m.json", tmp_path / "x.csv"
+        model.write_bytes(doc)
+        vec.write_bytes(vector)
+        result = run_cli("check", "--model", str(model), "--input", f"@{vec}", *extra)
+        assert result.returncode == code
+        assert result.stdout == ""
+        assert result.stderr.startswith("error:")
+        assert "Traceback" not in result.stderr
+
 
 class TestStreamPurity:
     def test_csv_stdout_is_rectangular_for_all_successful_runs(self, models):

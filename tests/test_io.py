@@ -81,6 +81,11 @@ class TestLoadModel:
             (lambda d: d["layers"][0]["activation"].update(kind="swish"), "activation kind"),
             (lambda d: d["layers"][0]["activation"].update(alpha=0.1), "alpha"),
             (lambda d: d["layers"][0]["activation"].update(relu_zero_policy="maybe"), "relu_zero_policy"),
+            (lambda d: d["layers"][0]["activation"].update(kind=["relu"]), "layer 1: unknown activation kind"),
+            (
+                lambda d: d["layers"][0]["activation"].update(kind="relu", relu_zero_policy=[]),
+                "layer 1: unknown relu_zero_policy",
+            ),
         ],
     )
     def test_schema_violations(self, mutate, match):
@@ -94,6 +99,20 @@ class TestLoadModel:
         doc["layers"][0]["activation"] = {"kind": "leaky_relu"}
         with pytest.raises(FormatError, match="alpha"):
             load_model(json.dumps(doc))
+
+    @pytest.mark.parametrize("digits", [400, 5000])
+    @pytest.mark.parametrize(
+        "place,error",
+        [("weights", ModelValidationError), ("bias", ModelValidationError), ("alpha", FormatError)],
+    )
+    def test_integers_beyond_float64_read_as_inf(self, place, error, digits):
+        values = {"weights": "1", "bias": "0", "alpha": "0", place: "9" * digits}
+        doc = (
+            '{"schema_version": "1", "input_dim": 2, "layers": [{"weights": [[%(weights)s, 2]], '
+            '"bias": [%(bias)s], "activation": {"kind": "leaky_relu", "alpha": %(alpha)s}}]}' % values
+        )
+        with pytest.raises(error, match="non-finite|alpha must be finite"):
+            load_model(doc)
 
     def test_policy_round_trips(self):
         doc = json.loads(MINIMAL_DOC)
@@ -180,8 +199,9 @@ class TestMatrixDump:
             assert np.array_equal(parse_matrix(text), jacobian)
 
     def test_malformed_token_names_column(self):
-        with pytest.raises(FormatError, match="column 2"):
-            parse_vector("1.0, abc, 3.0")
+        for token in ("abc", "1_0", "\uff11"):
+            with pytest.raises(FormatError, match="malformed numeric token at column 2"):
+                parse_vector(f"1.0, {token}, 3.0")
 
     def test_empty_field_rejected(self):
         with pytest.raises(FormatError, match="column 3"):
