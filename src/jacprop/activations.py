@@ -16,6 +16,7 @@ there is controlled by ``relu_zero_policy``:
 - ``reject``: raise :class:`SingularityError` naming the coordinate.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,8 @@ _KINKED = frozenset({"relu", "leaky_relu"})
 class ActivationSpec:
     """One layer's activation: a kind plus its parameters.
 
-    ``alpha`` is required for leaky_relu and forbidden otherwise.
+    ``alpha`` is required for leaky_relu, where it must be a finite real
+    number >= 0 (not a bool or a string), and forbidden otherwise.
     ``relu_zero_policy`` applies to relu/leaky_relu only and defaults to
     ``derivative_zero``.
     """
@@ -50,7 +52,12 @@ class ActivationSpec:
         if self.kind == "leaky_relu":
             if self.alpha is None:
                 raise ValueError("leaky_relu requires an alpha parameter")
-            alpha = float(self.alpha)
+            if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real):
+                raise ValueError(f"leaky_relu alpha must be a real number, got {self.alpha!r}")
+            try:
+                alpha = float(self.alpha)
+            except OverflowError:  # an integer beyond float64 is as non-finite as 1e400
+                raise ValueError("leaky_relu alpha must be finite and >= 0, got an integer beyond float64") from None
             if not np.isfinite(alpha) or alpha < 0:
                 raise ValueError(f"leaky_relu alpha must be finite and >= 0, got {self.alpha!r}")
             object.__setattr__(self, "alpha", alpha)

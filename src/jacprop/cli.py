@@ -22,7 +22,7 @@ from .errors import (
     NonFiniteError,
     SingularityError,
 )
-from .fd import FDConfig, compare_jacobians, finite_difference_jacobian
+from .fd import FDConfig, _checked_tolerance, compare_jacobians, finite_difference_jacobian
 from .model import LayeredModel, forward
 from .model_io import (
     emit_matrix,
@@ -32,7 +32,7 @@ from .model_io import (
     report_to_json,
     _format_entry,
 )
-from .sensitivity import build_report
+from .sensitivity import _checked_k, build_report
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -55,7 +55,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="jacprop", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_input=True):
+    def add_command(name, handler, help, *options, with_input=True, strict=True):
+        """A subcommand: the model, then the instance, its own options and --format."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         p.add_argument("--model", required=True, metavar="PATH", help="model document path")
         if with_input:
             p.add_argument(
@@ -64,76 +67,83 @@ def build_parser() -> argparse.ArgumentParser:
                 metavar="CSV|@FILE",
                 help="instance as inline CSV, or @path to a one-line CSV file",
             )
+            for flag, kwargs in options:
+                p.add_argument(flag, **kwargs)
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if strict:
+            p.add_argument("--strict-singularities", action="store_true", help="treat relu/leaky_relu at 0 as an error")
+        return p
 
-    p_validate = sub.add_parser("validate", help="check a model document")
-    add_common(p_validate, with_input=False)
-
-    p_forward = sub.add_parser("forward", help="evaluate the model at an instance")
-    add_common(p_forward)
-    p_forward.add_argument("--format", choices=("csv", "json"), default="csv")
+    add_command("validate", _cmd_validate, "check a model document", with_input=False, strict=False)
+    p_forward = add_command("forward", _cmd_forward, "evaluate the model at an instance", strict=False)
     p_forward.add_argument("--verbose", action="store_true", help="print every layer's activation to stderr")
 
-    p_jac = sub.add_parser("jacobian", help="compute the Jacobian at an instance")
-    add_common(p_jac)
-    p_jac.add_argument("--layer", type=int, metavar="N", help="emit the intermediate Jacobian J[N] (1=input .. L=output)")
-    p_jac.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_jac.add_argument("--strict-singularities", action="store_true", help="treat relu/leaky_relu at 0 as an error")
-
-    p_check = sub.add_parser("check", help="verify the Jacobian against finite differences")
-    add_common(p_check)
-    p_check.add_argument("--fd-step", type=float, default=1e-5, metavar="REAL")
-    p_check.add_argument("--fd-scheme", choices=("forward", "central"), default="central")
-    p_check.add_argument("--tolerance", type=float, default=1e-5, metavar="REAL")
-    p_check.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_check.add_argument("--strict-singularities", action="store_true")
-
-    p_report = sub.add_parser("report", help="per-feature and per-output sensitivity report")
-    add_common(p_report)
-    p_report.add_argument("--top-k", type=int, metavar="N", help="truncate rankings to the top N entries")
-    p_report.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_report.add_argument("--strict-singularities", action="store_true")
-
+    add_command(
+        "jacobian",
+        _cmd_jacobian,
+        "compute the Jacobian at an instance",
+        ("--layer", dict(type=int, metavar="N", help="emit the intermediate Jacobian J[N] (1=input .. L=output)")),
+    )
+    add_command(
+        "check",
+        _cmd_check,
+        "verify the Jacobian against finite differences",
+        ("--fd-step", dict(type=float, default=1e-5, metavar="REAL")),
+        ("--fd-scheme", dict(choices=("forward", "central"), default="central")),
+        ("--tolerance", dict(type=float, default=1e-5, metavar="REAL")),
+    )
+    add_command(
+        "report",
+        _cmd_report,
+        "per-feature and per-output sensitivity report",
+        ("--top-k", dict(type=int, metavar="N", help="truncate rankings to the top N entries")),
+    )
     return parser
 
 
+def _checked_option(flag: str, owner, *args, **kwargs):
+    """Apply the library rule that owns an option; its ValueError is a usage error."""
+    try:
+        return owner(*args, **kwargs)
+    except ValueError as exc:
+        raise _UsageError(f"{flag}: {exc}") from None
+
+
 def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
-def _load_input(args):
-    values = args.input
-    if not values:
-        raise _UsageError("--input is required")
-    if len(values) > 1:
-        raise _UsageError("--input given more than once; ambiguous instance")
-    raw = values[0]
-    if raw.startswith("@"):
-        raw = _read_text(raw[1:]).strip("\r\n")
-    return parse_vector(raw)
-
-
-def _apply_strict_singularities(model: LayeredModel) -> LayeredModel:
-    layers = []
-    for layer in model.layers:
-        spec = layer.activation
-        if spec.kind in ("relu", "leaky_relu") and spec.relu_zero_policy != "reject":
-            spec = dataclasses.replace(spec, relu_zero_policy="reject")
-            layer = dataclasses.replace(layer, activation=spec)
-        layers.append(layer)
-    return LayeredModel(layers=tuple(layers), input_dim=model.input_dim)
-
-
-def _load_model_for(args) -> LayeredModel:
+def _load(args):
+    """The model, with --strict-singularities applied, and the instance."""
     model = load_model(_read_text(args.model))
     if getattr(args, "strict_singularities", False):
-        model = _apply_strict_singularities(model)
-    return model
+        # ActivationSpec sets a policy on exactly the kinked kinds
+        layers = tuple(
+            dataclasses.replace(layer, activation=dataclasses.replace(layer.activation, relu_zero_policy="reject"))
+            if layer.activation.relu_zero_policy is not None
+            else layer
+            for layer in model.layers
+        )
+        model = LayeredModel(layers=layers, input_dim=model.input_dim)
+    if not args.input:
+        raise _UsageError("--input is required")
+    if len(args.input) > 1:
+        raise _UsageError("--input given more than once; ambiguous instance")
+    raw = args.input[0]
+    if raw.startswith("@"):
+        raw = _read_text(raw[1:]).strip("\r\n")
+    return model, parse_vector(raw)
 
 
-def _warn_singular_hits(hits) -> None:
-    if hits:
-        rendered = "; ".join(f"layer {layer}, coordinate {coord}" for layer, coord in hits)
+def _write(out, singular_hits=()) -> None:
+    """Print the result (text, or a document as JSON) to stdout, then warn about singular hits."""
+    sys.stdout.write(out if isinstance(out, str) else json.dumps(out, indent=2) + "\n")
+    if singular_hits:
+        rendered = "; ".join(f"layer {layer}, coordinate {coord}" for layer, coord in singular_hits)
         print(f"warning: singular activation points encountered: {rendered}", file=sys.stderr)
 
 
@@ -149,14 +159,10 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_forward(args) -> int:
-    model = _load_model_for(args)
-    vec = _load_input(args)
+    model, vec = _load(args)
     activations = forward(model, vec)
     y = activations[-1]
-    if args.format == "csv":
-        sys.stdout.write(emit_matrix(y))
-    else:
-        sys.stdout.write(json.dumps({"output": [float(v) for v in y]}, indent=2) + "\n")
+    _write(emit_matrix(y) if args.format == "csv" else {"output": y.tolist()})
     if args.verbose:
         for net_layer, act in enumerate(activations, start=1):
             rendered = ",".join(_format_entry(v) for v in act)
@@ -165,94 +171,71 @@ def _cmd_forward(args) -> int:
 
 
 def _cmd_jacobian(args) -> int:
-    model = _load_model_for(args)
-    vec = _load_input(args)
+    model, vec = _load(args)
     layer = args.layer if args.layer is not None else model.layer_count
     if not 1 <= layer <= model.layer_count:
         raise _UsageError(f"--layer must be in [1, {model.layer_count}], got {layer}")
     trace = jacobian_forward(model, vec)
     matrix = jacobian_at_layer(trace, layer)
     if args.format == "csv":
-        sys.stdout.write(emit_matrix(matrix))
+        out = emit_matrix(matrix)
     else:
-        doc = {
+        out = {
             "layer": layer,
-            "jacobian": [[float(v) for v in row] for row in matrix],
+            "jacobian": matrix.tolist(),
             "singular_hits": [[l, c] for l, c in trace.singular_hits],
         }
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
-    _warn_singular_hits(trace.singular_hits)
+    _write(out, trace.singular_hits)
     return EXIT_OK
 
 
 def _cmd_check(args) -> int:
-    try:
-        fd_config = FDConfig(step=args.fd_step, scheme=args.fd_scheme)
-    except ValueError as exc:
-        raise _UsageError(f"--fd-step: {exc}") from None
-    if not args.tolerance >= 0:
-        raise _UsageError(f"--tolerance must be >= 0, got {args.tolerance}")
-    model = _load_model_for(args)
-    vec = _load_input(args)
+    fd_config = _checked_option("--fd-step", FDConfig, step=args.fd_step, scheme=args.fd_scheme)
+    tolerance = _checked_option("--tolerance", _checked_tolerance, args.tolerance)
+    model, vec = _load(args)
     trace = jacobian_forward(model, vec)
     estimate = finite_difference_jacobian(model, vec, fd_config)
-    result = compare_jacobians(trace.full, estimate, args.tolerance)
+    result = compare_jacobians(trace.full, estimate, tolerance)
     row, col = result.argmax_location
     if args.format == "csv":
-        line = ",".join(
-            (
-                _format_entry(result.max_abs_diff),
-                _format_entry(result.max_rel_diff),
-                str(row),
-                str(col),
-                "true" if result.within_tolerance else "false",
-            )
+        fields = (
+            _format_entry(result.max_abs_diff),
+            _format_entry(result.max_rel_diff),
+            str(row),
+            str(col),
+            "true" if result.within_tolerance else "false",
         )
-        sys.stdout.write(line + "\n")
+        out = ",".join(fields) + "\n"
     else:
-        doc = {
+        out = {
             "max_abs_diff": result.max_abs_diff,
             "max_rel_diff": result.max_rel_diff,
             "argmax_location": [row, col],
             "within_tolerance": result.within_tolerance,
         }
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
-    _warn_singular_hits(trace.singular_hits)
+    _write(out, trace.singular_hits)
     return EXIT_OK if result.within_tolerance else EXIT_TOLERANCE
 
 
 def _cmd_report(args) -> int:
-    if args.top_k is not None and args.top_k < 1:
-        raise _UsageError(f"--top-k must be >= 1, got {args.top_k}")
-    model = _load_model_for(args)
-    vec = _load_input(args)
+    k = None if args.top_k is None else _checked_option("--top-k", _checked_k, args.top_k)
+    model, vec = _load(args)
     trace = jacobian_forward(model, vec)
     report = build_report(trace.full)
     if args.format == "csv":
-        sys.stdout.write(report_to_csv(report, k=args.top_k))
+        out = report_to_csv(report, k=k)
     else:
-        sys.stdout.write(report_to_json(report, trace.singular_hits, k=args.top_k))
-    _warn_singular_hits(trace.singular_hits)
+        out = report_to_json(report, trace.singular_hits, k=k)
+    _write(out, trace.singular_hits)
     return EXIT_OK
-
-
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "forward": _cmd_forward,
-    "jacobian": _cmd_jacobian,
-    "check": _cmd_check,
-    "report": _cmd_report,
-}
 
 
 def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
-    except (
-        _UsageError, OSError, UnicodeDecodeError, FormatError, DimensionMismatchError, NonFiniteError
-    ) as exc:
+        return args.handler(args)
+    except (_UsageError, OSError, FormatError, DimensionMismatchError, NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     except ModelValidationError as exc:

@@ -86,15 +86,20 @@ def finite_difference_jacobian(
     return jac
 
 
+def _checked_tolerance(tolerance) -> float:
+    tol = float(tolerance)
+    if not tol >= 0:  # also rejects NaN
+        raise ValueError(f"tolerance must be >= 0, got {tol}")
+    return tol
+
+
 def compare_jacobians(a, b, tolerance: float) -> ComparisonResult:
-    """Elementwise comparison of two matrices against an absolute tolerance."""
+    """Elementwise comparison of two matrices against an absolute tolerance (>= 0)."""
     mat_a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     mat_b = np.atleast_2d(np.asarray(b, dtype=np.float64))
     if mat_a.shape != mat_b.shape:
         raise DimensionMismatchError(f"shape mismatch: {mat_a.shape} vs {mat_b.shape}")
-    tol = float(tolerance)
-    if np.isnan(tol):
-        raise ValueError("tolerance must not be NaN")
+    tol = _checked_tolerance(tolerance)
     diff = np.abs(mat_a - mat_b)
     flat_argmax = int(np.argmax(diff))
     row, col = np.unravel_index(flat_argmax, diff.shape)

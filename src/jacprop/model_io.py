@@ -53,11 +53,8 @@ def _parse_activation(obj, where: str) -> ActivationSpec:
     if not isinstance(obj, dict):
         raise FormatError(f"{where}: activation must be an object")
     _require_keys(obj, _ACTIVATION_KEYS, where)
-    alpha = obj.get("alpha")
-    if alpha is not None and not _is_number(alpha):
-        raise FormatError(f"{where}: alpha must be a number")
     try:
-        return ActivationSpec(kind=obj.get("kind"), alpha=alpha, relu_zero_policy=obj.get("relu_zero_policy"))
+        return ActivationSpec(kind=obj.get("kind"), alpha=obj.get("alpha"), relu_zero_policy=obj.get("relu_zero_policy"))
     except ValueError as exc:
         raise FormatError(f"{where}: {exc}") from None
 

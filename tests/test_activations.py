@@ -197,8 +197,9 @@ class TestSpecValidation:
             ActivationSpec("leaky_relu")
 
     def test_negative_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            ActivationSpec("leaky_relu", alpha=-0.5)
+        for alpha in (-0.5, 10**400, [1], "0.5", True):
+            with pytest.raises(ValueError, match="leaky_relu alpha must be"):
+                ActivationSpec("leaky_relu", alpha=alpha)
 
     def test_policy_only_for_kinked_kinds(self):
         with pytest.raises(ValueError):

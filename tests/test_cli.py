@@ -181,6 +181,12 @@ class TestReport:
         lines = result.stdout.strip().split("\n")
         assert lines == ["feature,2,2", "output,1,2.2360679774997898"]
 
+    def test_top_k_below_one_rejected(self, models):
+        result = run_cli("report", "--model", models["minimal"], "--input", "1,1", "--top-k", "0")
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: --top-k: k must be >= 1, got 0\n"
+
     def test_json_format_has_contract_keys(self, models):
         result = run_cli(
             "report", "--model", models["smooth"], "--input", "0.1,-0.2,0.3,-0.4",
@@ -231,18 +237,23 @@ class TestInputHandling:
         assert result.returncode == 1
 
     @pytest.mark.parametrize(
-        "doc,vector,extra,code",
+        "doc,vector,extra,code,named",
         [
-            (b"\xff" + MINIMAL.encode(), b"1,1", (), 1),
-            (MINIMAL.encode(), b"\xff1,1", (), 1),
-            (MINIMAL.encode(), b"1,1", ("--fd-step", "inf"), 1),
-            (MINIMAL.replace('"identity"', '["relu"]').encode(), b"1,1", (), 1),
-            (MINIMAL.replace('"identity"', '"relu", "relu_zero_policy": []').encode(), b"1,1", (), 1),
-            (MINIMAL.replace("[[1, 2]]", f"[[{'9' * 400}, 2]]").encode(), b"1,1", (), 2),
+            (b"\xff" + MINIMAL.encode(), b"1,1", (), 1, "m.json"),
+            (MINIMAL.encode(), b"\xff1,1", (), 1, "x.csv"),
+            (MINIMAL.encode(), b"1,1", ("--fd-step", "inf"), 1, None),
+            (MINIMAL.encode(), b"1,1", ("--tolerance", "-1"), 1, None),
+            (MINIMAL.encode(), b"1,1", ("--tolerance", "nan"), 1, None),
+            (MINIMAL.replace('"identity"', '["relu"]').encode(), b"1,1", (), 1, None),
+            (MINIMAL.replace('"identity"', '"relu", "relu_zero_policy": []').encode(), b"1,1", (), 1, None),
+            (MINIMAL.replace("[[1, 2]]", f"[[{'9' * 400}, 2]]").encode(), b"1,1", (), 2, None),
         ],
-        ids=["non-utf8-model", "non-utf8-input-file", "fd-step-inf", "kind-list", "policy-list", "huge-integer-weight"],
+        ids=[
+            "non-utf8-model", "non-utf8-input-file", "fd-step-inf", "tolerance-negative", "tolerance-nan",
+            "kind-list", "policy-list", "huge-integer-weight",
+        ],
     )
-    def test_input_faults_are_error_lines_not_tracebacks(self, tmp_path, doc, vector, extra, code):
+    def test_input_faults_are_error_lines_not_tracebacks(self, tmp_path, doc, vector, extra, code, named):
         model, vec = tmp_path / "m.json", tmp_path / "x.csv"
         model.write_bytes(doc)
         vec.write_bytes(vector)
@@ -251,6 +262,8 @@ class TestInputHandling:
         assert result.stdout == ""
         assert result.stderr.startswith("error:")
         assert "Traceback" not in result.stderr
+        if named:
+            assert str(tmp_path / named) in result.stderr
 
 
 class TestStreamPurity:

@@ -113,6 +113,12 @@ class TestCompare:
         result = compare_jacobians([[0.0]], [[0.5]], tolerance=0.5)
         assert result.within_tolerance is True
 
+    @pytest.mark.parametrize("tolerance", [-1.0, float("nan")])
+    def test_negative_or_nan_tolerance_rejected(self, tolerance):
+        matrix = np.eye(2)
+        with pytest.raises(ValueError, match="tolerance must be >= 0"):
+            compare_jacobians(matrix, matrix, tolerance)
+
 
 class TestConfigAndErrors:
     def test_step_must_be_positive(self):

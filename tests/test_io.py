@@ -80,6 +80,8 @@ class TestLoadModel:
             (lambda d: d["layers"][0].update(bias="x"), "bias"),
             (lambda d: d["layers"][0]["activation"].update(kind="swish"), "activation kind"),
             (lambda d: d["layers"][0]["activation"].update(alpha=0.1), "alpha"),
+            (lambda d: d["layers"][0].update(activation={"kind": "leaky_relu", "alpha": "0.5"}), "layer 1: .*alpha"),
+            (lambda d: d["layers"][0].update(activation={"kind": "leaky_relu", "alpha": True}), "layer 1: .*alpha"),
             (lambda d: d["layers"][0]["activation"].update(relu_zero_policy="maybe"), "relu_zero_policy"),
             (lambda d: d["layers"][0]["activation"].update(kind=["relu"]), "layer 1: unknown activation kind"),
             (
