@@ -16,6 +16,7 @@ there is controlled by ``relu_zero_policy``:
 - ``reject``: raise :class:`SingularityError` naming the coordinate.
 """
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -30,6 +31,19 @@ ELEMENTWISE_KINDS = KINDS - {"softmax"}
 ZERO_POLICIES = frozenset({"derivative_zero", "derivative_one", "reject"})
 
 _KINKED = frozenset({"relu", "leaky_relu"})
+
+
+def _checked_real(value, what: str, rule: str, ok) -> float:
+    """value as a float: a real number (not a bool, a string or a sequence) for which ok holds."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    try:
+        number, shown = float(value), repr(value)
+    except OverflowError:  # an integer beyond float64 reads as +-inf, as 1e400 does
+        number, shown = math.inf if value > 0 else -math.inf, "an integer beyond float64"
+    if not ok(number):
+        raise ValueError(f"{what} must be {rule}, got {shown}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -52,14 +66,7 @@ class ActivationSpec:
         if self.kind == "leaky_relu":
             if self.alpha is None:
                 raise ValueError("leaky_relu requires an alpha parameter")
-            if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real):
-                raise ValueError(f"leaky_relu alpha must be a real number, got {self.alpha!r}")
-            try:
-                alpha = float(self.alpha)
-            except OverflowError:  # an integer beyond float64 is as non-finite as 1e400
-                raise ValueError("leaky_relu alpha must be finite and >= 0, got an integer beyond float64") from None
-            if not np.isfinite(alpha) or alpha < 0:
-                raise ValueError(f"leaky_relu alpha must be finite and >= 0, got {self.alpha!r}")
+            alpha = _checked_real(self.alpha, "leaky_relu alpha", "finite and >= 0", lambda v: 0 <= v < np.inf)
             object.__setattr__(self, "alpha", alpha)
         elif self.alpha is not None:
             raise ValueError(f"alpha is only valid for leaky_relu, not {self.kind!r}")

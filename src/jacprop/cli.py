@@ -23,7 +23,7 @@ from .errors import (
     SingularityError,
 )
 from .fd import FDConfig, _checked_tolerance, compare_jacobians, finite_difference_jacobian
-from .model import LayeredModel, forward
+from .model import LayeredModel, _checked_layer, forward
 from .model_io import (
     emit_matrix,
     load_model,
@@ -172,9 +172,9 @@ def _cmd_forward(args) -> int:
 
 def _cmd_jacobian(args) -> int:
     model, vec = _load(args)
-    layer = args.layer if args.layer is not None else model.layer_count
-    if not 1 <= layer <= model.layer_count:
-        raise _UsageError(f"--layer must be in [1, {model.layer_count}], got {layer}")
+    layer = model.layer_count
+    if args.layer is not None:  # checked before the pass
+        layer = _checked_option("--layer", _checked_layer, args.layer, 1, model.layer_count)
     trace = jacobian_forward(model, vec)
     matrix = jacobian_at_layer(trace, layer)
     if args.format == "csv":

@@ -30,7 +30,7 @@ import numpy as np
 from .activations import _slope, activation_apply, softmax_jacobian  # noqa: F401
 from .errors import NonFiniteError, SingularityError
 from .instrumentation import EvalCounter
-from .model import LayeredModel, _checked_input, _freeze, _layer_values
+from .model import LayeredModel, _checked_input, _checked_layer, _freeze, _layer_values
 
 
 @dataclass(frozen=True)
@@ -69,30 +69,32 @@ def jacobian_forward(model: LayeredModel, x, counter: EvalCounter | None = None)
     weighted_inputs: list[np.ndarray] = []
     hits: list[tuple[int, int]] = []
 
-    for net_layer, layer, z, a in _layer_values(model, vec, counter):
-        linear = layer.linear_part()
-        # associate the cheaper way; both orders are exact
-        factor_first = linear.shape[0] <= linear.shape[1]
-        if layer.activation.kind == "softmax":
-            sigma_jac = softmax_jacobian(z)
-            jac = (sigma_jac @ linear) @ jac if factor_first else sigma_jac @ (linear @ jac)
-        else:
-            try:
-                deriv, layer_hits = _slope(layer.activation, z, a)
-            except SingularityError as exc:
-                raise SingularityError(
-                    f"layer {net_layer}: {exc}", layer=net_layer, coordinate=exc.coordinate
-                ) from None
-            hits.extend((net_layer, coord) for coord in layer_hits)
-            # diagonal activation Jacobian applied as a row scaling
-            rows = deriv[:, np.newaxis]
-            jac = (rows * linear) @ jac if factor_first else rows * (linear @ jac)
-        if not np.all(np.isfinite(jac)):
-            raise NonFiniteError(f"non-finite Jacobian entries at layer {net_layer}")
+    # one errstate for the whole pass: the value pass and each update report overflow themselves
+    with np.errstate(over="ignore", invalid="ignore"):
+        for net_layer, layer, z, a in _layer_values(model, vec, counter):
+            linear = layer.linear_part()
+            # associate the cheaper way; both orders are exact
+            factor_first = linear.shape[0] <= linear.shape[1]
+            if layer.activation.kind == "softmax":
+                sigma_jac = softmax_jacobian(z)
+                jac = (sigma_jac @ linear) @ jac if factor_first else sigma_jac @ (linear @ jac)
+            else:
+                try:
+                    deriv, layer_hits = _slope(layer.activation, z, a)
+                except SingularityError as exc:
+                    raise SingularityError(
+                        f"layer {net_layer}: {exc}", layer=net_layer, coordinate=exc.coordinate
+                    ) from None
+                hits.extend((net_layer, coord) for coord in layer_hits)
+                # diagonal activation Jacobian applied as a row scaling
+                rows = deriv[:, np.newaxis]
+                jac = (rows * linear) @ jac if factor_first else rows * (linear @ jac)
+            if not np.all(np.isfinite(jac)):
+                raise NonFiniteError(f"non-finite Jacobian entries at layer {net_layer}")
 
-        per_layer.append(_freeze(jac))
-        weighted_inputs.append(_freeze(z))
-        activations.append(_freeze(a))
+            per_layer.append(_freeze(jac))
+            weighted_inputs.append(_freeze(z))
+            activations.append(_freeze(a))
 
     return JacobianTrace(
         full=per_layer[-1],
@@ -105,6 +107,4 @@ def jacobian_forward(model: LayeredModel, x, counter: EvalCounter | None = None)
 
 def jacobian_at_layer(trace: JacobianTrace, layer: int) -> np.ndarray:
     """The stored J[layer] for layer in 1..L (1 = input, so J[1] = I_m)."""
-    if not 1 <= layer <= trace.layer_count:
-        raise ValueError(f"layer index out of range: {layer} not in [1, {trace.layer_count}]")
-    return trace.per_layer[layer - 1]
+    return trace.per_layer[_checked_layer(layer, 1, trace.layer_count) - 1]

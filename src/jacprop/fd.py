@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .activations import _checked_real
 from .errors import DimensionMismatchError, NonFiniteError
 from .instrumentation import EvalCounter
 from .model import LayeredModel, _checked_input, _layer_values
@@ -24,10 +25,8 @@ class FDConfig:
     scheme: str = "central"
 
     def __post_init__(self):
-        step = float(self.step)
-        if not np.isfinite(step) or step <= 0:
-            raise ValueError(f"step must be positive and finite, got {self.step!r}")
-        if self.scheme not in SCHEMES:
+        step = _checked_real(self.step, "step", "positive and finite", lambda v: 0 < v < np.inf)
+        if not isinstance(self.scheme, str) or self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {sorted(SCHEMES)}")
         object.__setattr__(self, "step", step)
 
@@ -64,33 +63,29 @@ def finite_difference_jacobian(
     """
     cfg = cfg or FDConfig()
     vec = _checked_input(model, x)
-    m = model.input_dim
-    jac = np.empty((model.output_dim, m), dtype=np.float64)
     h = cfg.step
-    if cfg.scheme == "forward":
-        base = _probe_output(model, vec, counter, "base point")
-        for j in range(m):
-            probe = vec.copy()
-            probe[j] += h
-            out = _probe_output(model, probe, counter, f"x + h e_{j + 1}")
-            jac[:, j] = (out - base) / h
-    else:
-        for j in range(m):
-            plus = vec.copy()
-            plus[j] += h
-            minus = vec.copy()
-            minus[j] -= h
-            out_plus = _probe_output(model, plus, counter, f"x + h e_{j + 1}")
-            out_minus = _probe_output(model, minus, counter, f"x - h e_{j + 1}")
-            jac[:, j] = (out_plus - out_minus) / (2.0 * h)
-    return jac
+
+    def probe(j: int, sign: float) -> np.ndarray:
+        """F(x + sign h e_j); x + (-h) is exactly x - h."""
+        shifted = vec.copy()
+        shifted[j] += sign * h
+        return _probe_output(model, shifted, counter, f"x {'+' if sign > 0 else '-'} h e_{j + 1}")
+
+    # every probe reports its own overflow; the differences below are not checked, so they stay outside
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cfg.scheme == "forward":
+            base = _probe_output(model, vec, counter, "base point")
+            pairs = [(probe(j, 1.0), base) for j in range(model.input_dim)]
+            span = h
+        else:
+            pairs = [(probe(j, 1.0), probe(j, -1.0)) for j in range(model.input_dim)]
+            span = 2.0 * h
+    return np.column_stack([(high - low) / span for high, low in pairs])
 
 
 def _checked_tolerance(tolerance) -> float:
-    tol = float(tolerance)
-    if not tol >= 0:  # also rejects NaN
-        raise ValueError(f"tolerance must be >= 0, got {tol}")
-    return tol
+    # inf is a tolerance every finite difference meets; NaN fails v >= 0
+    return _checked_real(tolerance, "tolerance", ">= 0", lambda v: v >= 0)
 
 
 def compare_jacobians(a, b, tolerance: float) -> ComparisonResult:

@@ -11,6 +11,7 @@ augmented matrix (bias as the last column) and applies it to its input
 extended by a constant 1. See :func:`fold_bias`.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,13 +68,15 @@ class LayerDef:
 class LayeredModel:
     """Immutable feedforward model F: R^input_dim -> R^output_dim.
 
-    The constructor only guarantees representability; structural
-    invariants (dimension chaining, finiteness, non-emptiness) are
-    checked by :func:`validate_model`, which reports violations as data.
+    The constructor rejects what cannot represent a model and checks the
+    structural invariants (dimension chaining, finiteness, non-emptiness)
+    once. An invalid model is still built; :func:`validate_model` reports
+    the verdict, which cannot go stale: model and weights are read-only.
     """
 
     layers: tuple[LayerDef, ...]
     input_dim: int
+    _violations: tuple[str, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         layers = tuple(self.layers)
@@ -85,6 +88,7 @@ class LayeredModel:
             raise ValueError("input_dim must be a positive integer")
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "input_dim", int(self.input_dim))
+        object.__setattr__(self, "_violations", tuple(_find_violations(self)))
 
     @property
     def layer_count(self) -> int:
@@ -136,15 +140,11 @@ def fold_bias(weights, bias) -> np.ndarray:
     return np.hstack([w, b[:, np.newaxis]])
 
 
-def validate_model(model: LayeredModel) -> list[str]:
-    """Check the structural invariants; return violations (empty = valid).
-
-    Violations name layers by their 1-based position in ``model.layers``.
-    """
-    violations: list[str] = []
+def _find_violations(model: LayeredModel) -> list[str]:
+    """Check the structural invariants once, for the verdict :func:`validate_model` reports."""
     if not model.layers:
-        violations.append("model has no layers; at least one weight layer is required")
-        return violations
+        return ["model has no layers; at least one weight layer is required"]
+    violations: list[str] = []
     prev_size = model.input_dim
     prev_name = f"input_dim {model.input_dim}"
     for pos, layer in enumerate(model.layers, start=1):
@@ -153,38 +153,45 @@ def validate_model(model: LayeredModel) -> list[str]:
             violations.append(
                 f"layer {pos}: weight matrix must have at least one row and one column, got {rows}x{cols}"
             )
-            prev_size = rows
-            prev_name = f"layer {pos} output size {rows}"
-            continue
-        if not np.all(np.isfinite(layer.weights)):
-            violations.append(f"layer {pos}: weights contain non-finite entries")
-        expected = prev_size + (1 if layer.bias_folded else 0)
-        if cols != expected:
-            suffix = " plus the folded bias column" if layer.bias_folded else ""
-            violations.append(
-                f"layer {pos}: weight column count {cols} does not match {prev_name}{suffix}"
-            )
+        else:
+            if not np.all(np.isfinite(layer.weights)):
+                violations.append(f"layer {pos}: weights contain non-finite entries")
+            expected = prev_size + (1 if layer.bias_folded else 0)
+            if cols != expected:
+                suffix = " plus the folded bias column" if layer.bias_folded else ""
+                violations.append(f"layer {pos}: weight column count {cols} does not match {prev_name}{suffix}")
         prev_size = rows
         prev_name = f"layer {pos} output size {rows}"
     return violations
 
 
-def as_input_vector(x, input_dim: int) -> np.ndarray:
-    """Coerce an instance (InstanceVector or array-like) to a checked, fresh vector."""
-    arr = _as_finite_vector(x, "input", DimensionMismatchError).copy()
-    if arr.shape[0] != input_dim:
-        raise DimensionMismatchError(
-            f"input length {arr.shape[0]} does not match model input_dim {input_dim}"
-        )
-    return arr
+def validate_model(model: LayeredModel) -> list[str]:
+    """Violations found when the model was built (empty = valid); layers by 1-based list position."""
+    return list(model._violations)
 
 
-def _checked_input(model: LayeredModel, x) -> np.ndarray:
-    """Validate the model and coerce x; the boundary checks of every pass."""
+def _validated(model: LayeredModel) -> LayeredModel:
+    """The model itself; ModelValidationError if it breaks its structural invariants."""
     violations = validate_model(model)
     if violations:
         raise ModelValidationError(violations)
-    return as_input_vector(x, model.input_dim)
+    return model
+
+
+def _checked_input(model: LayeredModel, x) -> np.ndarray:
+    """Refuse an invalid model and coerce x to a checked, fresh vector: the boundary of every pass."""
+    input_dim = _validated(model).input_dim
+    arr = _as_finite_vector(x, "input", DimensionMismatchError).copy()
+    if arr.shape[0] != input_dim:
+        raise DimensionMismatchError(f"input length {arr.shape[0]} does not match model input_dim {input_dim}")
+    return arr
+
+
+def _checked_layer(layer, low: int, high: int) -> int:
+    """The network-layer index rule: an integer (not a bool) in [low, high]."""
+    if isinstance(layer, bool) or not isinstance(layer, numbers.Integral) or not low <= layer <= high:
+        raise ValueError(f"layer must be an integer in [{low}, {high}], got {layer!r}")
+    return int(layer)
 
 
 def _layer_values(model: LayeredModel, vec: np.ndarray, counter: EvalCounter | None = None):
@@ -194,8 +201,9 @@ def _layer_values(model: LayeredModel, vec: np.ndarray, counter: EvalCounter | N
     the finite-difference probes and the Jacobian pass alike. It is lazy,
     so a consumer's own error at layer l (a relu kink under ``reject``)
     still comes before anything at layer l+1. Each z and a is checked
-    once; errors name network layers (2..L). Assumes the model already
-    validated and ``vec`` checked.
+    once; errors name network layers (2..L), overflow included, so the
+    consumer reads it under ``np.errstate(over="ignore", invalid="ignore")``.
+    Assumes the model already validated and ``vec`` checked.
     """
     if counter is not None:
         counter.count_model_eval()
@@ -217,20 +225,19 @@ def _layer_values(model: LayeredModel, vec: np.ndarray, counter: EvalCounter | N
 def forward(model: LayeredModel, x, counter: EvalCounter | None = None) -> list[np.ndarray]:
     """Evaluate the model, returning all activations a^[1..L] (last is y)."""
     vec = _checked_input(model, x)
-    return [vec] + [a for _, _, _, a in _layer_values(model, vec, counter)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [vec] + [a for _, _, _, a in _layer_values(model, vec, counter)]
 
 
 def prefix_model(model: LayeredModel, layer: int) -> LayeredModel:
     """The initial part of the model up to network layer ``layer`` (2..L)."""
-    if not 2 <= layer <= model.layer_count:
-        raise ValueError(f"layer must be in [2, {model.layer_count}], got {layer}")
+    layer = _checked_layer(layer, 2, model.layer_count)
     return LayeredModel(layers=model.layers[: layer - 1], input_dim=model.input_dim)
 
 
 def suffix_model(model: LayeredModel, layer: int) -> LayeredModel:
     """The remaining model consuming a^[layer], for ``layer`` in 1..L-1."""
-    if not 1 <= layer <= model.layer_count - 1:
-        raise ValueError(f"layer must be in [1, {model.layer_count - 1}], got {layer}")
+    layer = _checked_layer(layer, 1, model.layer_count - 1)
     if layer == 1:
         return model
     input_dim = model.layers[layer - 2].output_dim

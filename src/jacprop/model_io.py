@@ -30,17 +30,18 @@ import json
 import numpy as np
 
 from .activations import ActivationSpec
-from .errors import DimensionMismatchError, FormatError, ModelValidationError, NonFiniteError
-from .model import InstanceVector, LayerDef, LayeredModel, fold_bias, validate_model
+from .errors import DimensionMismatchError, FormatError, NonFiniteError
+from .model import InstanceVector, LayerDef, LayeredModel, _validated, fold_bias
 from .sensitivity import SensitivityReport, _checked_k
 
 _TOP_KEYS = {"schema_version", "input_dim", "layers"}
 _LAYER_KEYS = {"weights", "bias", "activation"}
 _ACTIVATION_KEYS = {"kind", "alpha", "relu_zero_policy"}
+_NUMBER_TYPES = {int, float}  # what json.loads makes of a JSON number; bool is its own type
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _all_numbers(values: list) -> bool:
+    return set(map(type, values)) <= _NUMBER_TYPES
 
 
 def _require_keys(obj: dict, allowed: set, where: str) -> None:
@@ -69,12 +70,10 @@ def _parse_weights(obj, where: str) -> np.ndarray:
         if width is None:
             width = len(row)
         elif len(row) != width:
-            raise FormatError(
-                f"{where}: ragged weights, row of length {len(row)} where {width} expected"
-            )
-        for value in row:
-            if not _is_number(value):
-                raise FormatError(f"{where}: weights entries must be numbers, got {value!r}")
+            raise FormatError(f"{where}: ragged weights, row of length {len(row)} where {width} expected")
+        if not _all_numbers(row):
+            value = next(v for v in row if type(v) not in _NUMBER_TYPES)
+            raise FormatError(f"{where}: weights entries must be numbers, got {value!r}")
     return np.array(obj, dtype=np.float64)
 
 
@@ -125,7 +124,7 @@ def load_model(text: str) -> LayeredModel:
         bias = entry.get("bias")
         folded = bias is not None
         if folded:
-            if not isinstance(bias, list) or not all(_is_number(v) for v in bias):
+            if not isinstance(bias, list) or not _all_numbers(bias):
                 raise FormatError(f"{where}: bias must be an array of numbers")
             try:
                 weights = fold_bias(weights, bias)
@@ -133,26 +132,16 @@ def load_model(text: str) -> LayeredModel:
                 raise FormatError(f"{where}: {exc}") from None
         layer_defs.append(LayerDef(weights=weights, activation=activation, bias_folded=folded))
 
-    model = LayeredModel(layers=tuple(layer_defs), input_dim=input_dim)
-    violations = validate_model(model)
-    if violations:
-        raise ModelValidationError(violations)
-    return model
+    return _validated(LayeredModel(layers=tuple(layer_defs), input_dim=input_dim))
 
 
 def save_model(model: LayeredModel) -> str:
     """Emit the canonical document for a model; folded biases are unfolded."""
-    violations = validate_model(model)
-    if violations:
-        raise ModelValidationError(violations)
     layers = []
-    for layer in model.layers:
-        entry: dict = {}
+    for layer in _validated(model).layers:
+        entry: dict = {"weights": layer.linear_part().tolist()}
         if layer.bias_folded:
-            entry["weights"] = layer.weights[:, :-1].tolist()
             entry["bias"] = layer.weights[:, -1].tolist()
-        else:
-            entry["weights"] = layer.weights.tolist()
         spec = layer.activation
         activation: dict = {"kind": spec.kind}
         if spec.kind == "leaky_relu":
@@ -208,11 +197,7 @@ def parse_vector(text: str) -> InstanceVector:
     if "\n" in content or "\r" in content:
         raise FormatError("expected a single CSV line, got multiple lines")
     tokens = content.split(",")
-    values = np.array(
-        [_parse_token(tok, f"column {col}") for col, tok in enumerate(tokens, start=1)],
-        dtype=np.float64,
-    )
-    return InstanceVector(values=values)
+    return InstanceVector(values=[_parse_token(tok, f"column {col}") for col, tok in enumerate(tokens, start=1)])
 
 
 def parse_matrix(text: str) -> np.ndarray:

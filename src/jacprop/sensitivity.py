@@ -7,6 +7,7 @@ probabilities); the caller records that via ``same_unit``, which is
 carried but never enforced.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,10 +56,11 @@ def build_report(jacobian, same_unit: bool = False) -> SensitivityReport:
 
 
 def _checked_k(k) -> int:
-    k = int(k)
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return k
+    return int(k)
 
 
 def top_k(report: SensitivityReport, axis: str, k: int) -> list[tuple[int, float]]:

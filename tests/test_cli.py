@@ -12,6 +12,9 @@ MINIMAL = '{"schema_version": "1", "input_dim": 2, "layers": [{"weights": [[1, 2
 INVALID = '{"schema_version": "1", "input_dim": 2, "layers": [{"weights": [[1, 2, 3]], "activation": {"kind": "identity"}}]}'
 RELU_EYE = '{"schema_version": "1", "input_dim": 2, "layers": [{"weights": [[1, 0], [0, 1]], "activation": {"kind": "relu"}}]}'
 WIDE3 = '{"schema_version": "1", "input_dim": 3, "layers": [{"weights": [[1, 1, 1]], "activation": {"kind": "tanh"}}]}'
+OVERFLOW = '{"schema_version": "1", "input_dim": 1, "layers": [%s, %s]}' % (
+    ('{"weights": [[1e308]], "activation": {"kind": "identity"}}',) * 2
+)
 
 
 def run_cli(*args):
@@ -105,7 +108,7 @@ class TestJacobian:
             "jacobian", "--model", models["relu"], "--input", "0,5", "--strict-singularities", "--layer", "9"
         )
         assert result.returncode == 1
-        assert "--layer must be in [1, 2], got 9" in result.stderr
+        assert result.stderr == "error: --layer: layer must be an integer in [1, 2], got 9\n"
 
     def test_singular_hit_warns_on_stderr(self, models):
         result = run_cli("jacobian", "--model", models["relu"], "--input", "0,5")
@@ -247,10 +250,11 @@ class TestInputHandling:
             (MINIMAL.replace('"identity"', '["relu"]').encode(), b"1,1", (), 1, None),
             (MINIMAL.replace('"identity"', '"relu", "relu_zero_policy": []').encode(), b"1,1", (), 1, None),
             (MINIMAL.replace("[[1, 2]]", f"[[{'9' * 400}, 2]]").encode(), b"1,1", (), 2, None),
+            (OVERFLOW.encode(), b"1", (), 1, None),
         ],
         ids=[
             "non-utf8-model", "non-utf8-input-file", "fd-step-inf", "tolerance-negative", "tolerance-nan",
-            "kind-list", "policy-list", "huge-integer-weight",
+            "kind-list", "policy-list", "huge-integer-weight", "overflow",
         ],
     )
     def test_input_faults_are_error_lines_not_tracebacks(self, tmp_path, doc, vector, extra, code, named):

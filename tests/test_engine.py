@@ -129,11 +129,11 @@ class TestAccessor:
         trace = jacobian_forward(model, x)
         assert jacobian_at_layer(trace, trace.layer_count) is trace.full
 
-    @pytest.mark.parametrize("layer", [0, -1, 5])
+    @pytest.mark.parametrize("layer", [0, -1, 5, True, 2.0])
     def test_out_of_range(self, layer):
         model, x = spec_seed7_model()
         trace = jacobian_forward(model, x)
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=r"layer must be an integer in \[1, 4\]"):
             jacobian_at_layer(trace, layer)
 
 
@@ -176,13 +176,11 @@ class TestErrors:
         with pytest.raises(ModelValidationError):
             jacobian_forward(model, [1.0, 2.0])
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflow_names_layer(self):
         model = _identity_model([np.full((1, 1), 1e308), np.full((1, 1), 1e308)], input_dim=1)
         with pytest.raises(NonFiniteError, match="layer 3"):
             jacobian_forward(model, [1.0])
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_errors_keep_layer_order(self):
         # a relu kink at layer 2 and an overflow at layer 3: the Jacobian
         # pass stops at the kink before layer 3 is evaluated, forward (which

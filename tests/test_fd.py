@@ -118,6 +118,14 @@ class TestCompare:
         matrix = np.eye(2)
         with pytest.raises(ValueError, match="tolerance must be >= 0"):
             compare_jacobians(matrix, matrix, tolerance)
+        for not_real in ("0.1", True, [0.1]):
+            with pytest.raises(ValueError, match="tolerance must be a real number"):
+                compare_jacobians(matrix, matrix, not_real)
+        with pytest.raises(ValueError, match="tolerance must be >= 0, got an integer beyond float64"):
+            compare_jacobians(matrix, matrix, -(10**400))
+        # inf and an integer beyond float64 (read as inf) admit every finite difference
+        assert compare_jacobians(matrix, matrix, float("inf")).within_tolerance
+        assert compare_jacobians(matrix, matrix, 10**400).within_tolerance
 
 
 class TestConfigAndErrors:
@@ -126,17 +134,21 @@ class TestConfigAndErrors:
             FDConfig(step=0.0)
         with pytest.raises(ValueError):
             FDConfig(step=-1e-5)
+        for step in ("1e-5", True, [1e-5], 10**400):
+            with pytest.raises(ValueError, match="step must be"):
+                FDConfig(step=step)
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
             FDConfig(scheme="complex")
+        with pytest.raises(ValueError, match="unknown scheme"):
+            FDConfig(scheme=["central"])
 
     def test_defaults(self):
         cfg = FDConfig()
         assert cfg.step == 1e-5
         assert cfg.scheme == "central"
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_probe_is_named(self):
         # F(x) is finite but F(x + h) overflows
         model = _single_layer(np.array([[1e308]]), "identity")

@@ -76,6 +76,8 @@ class TestLoadModel:
             (lambda d: d["layers"][0].pop("weights"), "weights"),
             (lambda d: d["layers"][0].update(weights=[[]]), "weights"),
             (lambda d: d["layers"][0].update(weights=[[1, True]]), "numbers"),
+            (lambda d: d["layers"][0].update(weights=[[1, None]]), "weights entries must be numbers, got None"),
+            (lambda d: d["layers"][0].update(bias=[1, True]), "bias must be an array of numbers"),
             (lambda d: d["layers"][0].update(bias=[1, 2]), "bias length"),
             (lambda d: d["layers"][0].update(bias="x"), "bias"),
             (lambda d: d["layers"][0]["activation"].update(kind="swish"), "activation kind"),

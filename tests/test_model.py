@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -163,7 +165,6 @@ class TestForward:
         with pytest.raises(ModelValidationError):
             forward(model, [1.0, 2.0])
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflow_reports_layer(self):
         model = _model(
             [(np.full((1, 1), 1e308), "identity"), (np.full((1, 1), 1e308), "identity")],
@@ -203,4 +204,23 @@ class TestTypes:
             prefix_model(model, model.layer_count + 1)
         with pytest.raises(ValueError):
             suffix_model(model, model.layer_count)
+        for not_an_index in (2.0, True):
+            with pytest.raises(ValueError, match="layer must be an integer"):
+                prefix_model(model, not_an_index)
+            with pytest.raises(ValueError, match="layer must be an integer"):
+                suffix_model(model, not_an_index)
         assert suffix_model(model, 1) is model
+
+    def test_verdict_is_the_models_own(self):
+        model = _model([(np.zeros((3, 2)), "identity")], input_dim=2)
+        violations = validate_model(model)
+        assert violations == []
+        violations.append("tampered")
+        assert validate_model(model) == []
+        # a model built from another gets its own verdict, and equality ignores it
+        wider = dataclasses.replace(model, input_dim=3)
+        assert validate_model(wider) == ["layer 1: weight column count 2 does not match input_dim 3"]
+        assert dataclasses.replace(wider, input_dim=2) == model
+        assert "_violations" not in repr(model)
+        with pytest.raises(ModelValidationError):
+            forward(wider, [1.0, 2.0, 3.0])

@@ -95,6 +95,10 @@ class TestTopK:
             top_k(report, "rows", 1)
         with pytest.raises(ValueError):
             top_k(report, "feature", 0)
+        for k in (2.5, "2", True):
+            with pytest.raises(ValueError, match="k must be an integer"):
+                top_k(report, "feature", k)
+        assert top_k(report, "feature", np.int64(1)) == top_k(report, "feature", 1)
 
 
 class TestInvariances:
