@@ -1,8 +1,9 @@
 """Exact Jacobians of feedforward models in one forward pass.
 
-The Jacobian of a layered model is accumulated alongside the activations
-in a single input-to-output traversal, with every intermediate prefix
-Jacobian kept as a byproduct. A finite-difference oracle provides
+The Jacobian factors of a layered model are collected alongside the
+activations in a single input-to-output traversal and multiplied out in
+the cheapest bracketing of the chain; every intermediate prefix Jacobian
+is available as a byproduct. A finite-difference oracle provides
 independent verification, and sensitivity reports turn a Jacobian into
 per-feature and per-output rankings for one instance.
 """

@@ -1,27 +1,43 @@
-"""One-pass forward propagation of the Jacobian.
+"""The exact Jacobian of a layered model at one instance, as a planned chain product.
 
-The model's Jacobian factors through the layers as a matrix chain, so it
-can be accumulated alongside the activations in a single input-to-output
-traversal:
+The model's Jacobian factors through the layers as a matrix chain:
 
-    a[1] = x,  J[1] = I_m
-    for l = 2..L:
-        z[l] = W[l] a[l-1]
-        a[l] = sigma[l](z[l])
-        J[l] = J_sigma[l](z[l], a[l]) . W[l] . J[l-1]
+    J = F[L] ... F[3] F[2],   F[l] = J_sigma[l](z[l], a[l]) . W[l]
+
+J_sigma[l] is the activation's Jacobian at the weighted input z[l]: a
+diagonal D[l] = diag(d) for elementwise kinds, the dense softmax matrix S
+otherwise. For folded-bias layers the value pass uses the augmented
+matrix while the factor drops the bias column, so reported Jacobians are
+always with respect to the true m inputs.
 
 The values z[l] and a[l] come from the model's own lazy value pass (the
-one ``forward`` and the finite-difference probes read), and each factor
-is multiplied in as its layer arrives. J[L] is the full Jacobian dF/dx;
-every intermediate J[l] is the Jacobian of the model prefix ending at
-layer l, kept in the trace as a byproduct. Each weight matrix is
-multiplied against exactly one vector and one matrix per call.
+one ``forward`` and the finite-difference probes read). Each layer's
+slope is taken as its layer arrives, so a relu kink under ``reject``
+stops the pass before the next layer is evaluated. A factor is kept as
+its slope and its weights and is never multiplied out in the chain: it
+is applied to a dense matrix C as D W C = d * (W C) or C D W = (C * d) W.
 
-For folded-bias layers the value pass uses the augmented matrix while
-the Jacobian factor drops the bias column, so reported Jacobians are
-always with respect to the true m inputs.
+Once every factor is in, the product is computed once, in the
+bracketing that matrix-chain dynamic programming over the factor shapes
+finds cheapest (CLRS §15.2). On a wide-input, narrow-output classifier
+that is the output-to-input order. Every bracketing computes the same
+exact product and differs only in rounding; this is not an adjoint
+program, the factors are the same ones an input-to-output pass uses.
+
+The prefix Jacobians J[l], one per layer, are kept as a byproduct. J[l]
+is the Jacobian of the model prefix ending at layer l:
+
+    J[1] = I_m,  J[2] = F[2],  J[l] = F[l] J[l-1]  for l = 3..L-1,  J[L] = the product
+
+They are built in this input-to-output order on first access.
+
+The product is checked once. Only when it is not finite is the
+input-to-output order replayed, to name the first layer whose prefix
+overflows.
 """
 
+import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,18 +49,158 @@ from .instrumentation import EvalCounter
 from .model import LayeredModel, _checked_input, _checked_layer, _freeze, _layer_values
 
 
+class _Factor:
+    """One layer's F = J_sigma W, kept as its slope (diagonal d or softmax S) and its weights W."""
+
+    __slots__ = ("slope", "linear", "diagonal")
+
+    def __init__(self, slope: np.ndarray, linear: np.ndarray):
+        self.slope = slope
+        self.linear = linear
+        self.diagonal = slope.ndim == 1
+
+    def dense(self) -> np.ndarray:
+        """F itself."""
+        return self.slope[:, np.newaxis] * self.linear if self.diagonal else self.slope @ self.linear
+
+    def dot(self, c: np.ndarray) -> np.ndarray:
+        """F C, as d * (W C) or S (W C)."""
+        product = self.linear @ c
+        return self.slope[:, np.newaxis] * product if self.diagonal else self.slope @ product
+
+    def rdot(self, c: np.ndarray) -> np.ndarray:
+        """C F, as (C * d) W or (C S) W."""
+        return (c * self.slope if self.diagonal else c @ self.slope) @ self.linear
+
+    def extend(self, jac: np.ndarray) -> np.ndarray:
+        """J[l] = F[l] J[l-1], associated the cheaper way for this factor's shape."""
+        rows, cols = self.linear.shape
+        return self.dense() @ jac if rows <= cols else self.dot(jac)
+
+    def first(self) -> np.ndarray:
+        """J[2] = extend(I_m) without the identity: C I_m is C + 0, which only turns -0 into +0."""
+        rows, cols = self.linear.shape
+        if rows > cols:
+            return _Factor(self.slope, self.linear + 0.0).dense()
+        jac = self.dense()
+        jac += 0.0
+        return jac
+
+
+@functools.lru_cache(maxsize=256)
+def _plan(dims: tuple[int, ...]):
+    """The cheapest bracketing of the product A_0 A_1 ... A_{k-1}, where A_i is dims[i] x dims[i+1].
+
+    Matrix-chain dynamic programming over the multiplication count
+    (CLRS §15.2). A bracketing is a factor index or a (left, right)
+    pair of bracketings. Ties go to the leftmost split, so the plan
+    depends on the shapes alone, and a model reuses its plan on every
+    pass.
+    """
+    k = len(dims) - 1
+    cost = [[0] * k for _ in range(k)]
+    split = [[0] * k for _ in range(k)]
+    for span in range(1, k):
+        for i in range(k - span):
+            j = i + span
+            best = None
+            for s in range(i, j):
+                c = cost[i][s] + cost[s + 1][j] + dims[i] * dims[s + 1] * dims[j + 1]
+                if best is None or c < best:
+                    best, split[i][j] = c, s
+            cost[i][j] = best
+
+    def tree(i, j):
+        if i == j:
+            return i
+        s = split[i][j]
+        return (tree(i, s), tree(s + 1, j))
+
+    return tree(0, k - 1)
+
+
+def _evaluate(plan, chain: list[_Factor]) -> np.ndarray:
+    """The product of ``chain`` (output side first) in the bracketing ``plan``."""
+    if isinstance(plan, int):  # a chain of one factor: the product is J[2]
+        return chain[plan].first()
+    left, right = plan
+    if isinstance(left, int) and isinstance(right, int):
+        # two factors: multiply out the smaller one (the output side on a tie), apply the other to it
+        a, b = chain[left], chain[right]
+        return b.rdot(a.dense()) if a.linear.size <= b.linear.size else a.dot(b.dense())
+    if isinstance(left, int):
+        return chain[left].dot(_evaluate(right, chain))
+    if isinstance(right, int):
+        return chain[right].rdot(_evaluate(left, chain))
+    return _evaluate(left, chain) @ _evaluate(right, chain)
+
+
+def _extend_prefixes(factors: tuple[_Factor, ...], built: list[np.ndarray]) -> list[np.ndarray]:
+    """``built`` (J[2], J[3], ... so far) extended through every factor, in input-to-output order.
+
+    Each new prefix is checked: NonFiniteError names the first layer
+    whose prefix overflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        for net_layer in range(len(built) + 2, len(factors) + 2):
+            factor = factors[net_layer - 2]
+            jac = factor.extend(built[-1]) if built else factor.first()
+            if not np.isfinite(jac).all():
+                raise NonFiniteError(f"non-finite Jacobian entries at layer {net_layer}")
+            built.append(_freeze(jac))
+    return built
+
+
+class _Prefixes(Sequence):
+    """J[1], ..., J[L] as a read-only sequence; see the module docstring.
+
+    J[L] is the product itself. The identity J[1] and each J[l] for
+    2 <= l < L are built on first access, input-to-output, and kept.
+    Concurrent readers may build a prefix twice; both get the same values.
+    """
+
+    def __init__(self, input_dim: int, factors: tuple[_Factor, ...], full: np.ndarray, built: list[np.ndarray]):
+        self._input_dim = input_dim
+        self._factors = factors
+        self._full = full
+        self._identity = None
+        self._built = built
+
+    def __len__(self) -> int:
+        return len(self._factors) + 1
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        index = range(len(self))[index]
+        if index == len(self) - 1:
+            return self._full
+        if index == 0:
+            if self._identity is None:
+                self._identity = _freeze(np.eye(self._input_dim))
+            return self._identity
+        built = self._built
+        if len(built) < index:
+            built = _extend_prefixes(self._factors[:index], list(built))
+            self._built = built
+        return built[index - 1]
+
+
 @dataclass(frozen=True)
 class JacobianTrace:
     """Everything produced by one Jacobian pass at one instance.
 
     ``per_layer[l-1]`` is J[l] for l = 1..L, where layer 1 is the input
-    (J[1] = I_m) and J[L] is ``full``.
+    (J[1] = I_m) and J[L] is ``full``. It is a read-only sequence whose
+    intermediate entries are built on first access; reading one whose
+    input-to-output product overflows raises :class:`NonFiniteError`
+    naming that layer, even though ``full`` is finite.
     ``singular_hits`` lists (layer, coordinate) pairs, 1-based, where a
     relu/leaky_relu singularity policy supplied the derivative.
     """
 
     full: np.ndarray
-    per_layer: tuple[np.ndarray, ...]
+    per_layer: Sequence[np.ndarray]
     activations: tuple[np.ndarray, ...]
     weighted_inputs: tuple[np.ndarray, ...]
     singular_hits: tuple[tuple[int, int], ...]
@@ -55,50 +211,52 @@ class JacobianTrace:
 
 
 def jacobian_forward(model: LayeredModel, x, counter: EvalCounter | None = None) -> JacobianTrace:
-    """Compute the full Jacobian at x in one forward traversal.
+    """Compute the full Jacobian at x from one value pass.
 
     Raises :class:`SingularityError` (annotated with layer and
     coordinate) when a relu/leaky_relu layer under the reject policy is
     differentiated at exactly 0, and :class:`NonFiniteError` naming the
-    layer when any intermediate overflows.
+    layer when a value or the Jacobian overflows. Errors of the value
+    pass come first, in layer order; the Jacobian is checked after the
+    last layer.
     """
     vec = _freeze(_checked_input(model, x))
-    jac = _freeze(np.eye(model.input_dim))
-    per_layer = [jac]
+    factors: list[_Factor] = []
     activations = [vec]
     weighted_inputs: list[np.ndarray] = []
     hits: list[tuple[int, int]] = []
 
-    # one errstate for the whole pass: the value pass and each update report overflow themselves
+    # one errstate for the whole pass: the value pass and the product report overflow themselves
     with np.errstate(over="ignore", invalid="ignore"):
         for net_layer, layer, z, a in _layer_values(model, vec, counter):
-            linear = layer.linear_part()
-            # associate the cheaper way; both orders are exact
-            factor_first = linear.shape[0] <= linear.shape[1]
             if layer.activation.kind == "softmax":
-                sigma_jac = softmax_jacobian(z)
-                jac = (sigma_jac @ linear) @ jac if factor_first else sigma_jac @ (linear @ jac)
+                slope = softmax_jacobian(z)
             else:
                 try:
-                    deriv, layer_hits = _slope(layer.activation, z, a)
+                    slope, layer_hits = _slope(layer.activation, z, a)
                 except SingularityError as exc:
                     raise SingularityError(
                         f"layer {net_layer}: {exc}", layer=net_layer, coordinate=exc.coordinate
                     ) from None
                 hits.extend((net_layer, coord) for coord in layer_hits)
-                # diagonal activation Jacobian applied as a row scaling
-                rows = deriv[:, np.newaxis]
-                jac = (rows * linear) @ jac if factor_first else rows * (linear @ jac)
-            if not np.all(np.isfinite(jac)):
-                raise NonFiniteError(f"non-finite Jacobian entries at layer {net_layer}")
-
-            per_layer.append(_freeze(jac))
+            factors.append(_Factor(slope, layer.linear_part()))
             weighted_inputs.append(_freeze(z))
             activations.append(_freeze(a))
 
+        chain = factors[::-1]
+        dims = (chain[0].linear.shape[0], *(factor.linear.shape[1] for factor in chain))
+        full = _evaluate(_plan(dims), chain)
+    factors = tuple(factors)
+    built: list[np.ndarray] = []
+    if np.isfinite(full).all():
+        full = _freeze(full)
+    else:
+        # name the layer the input-to-output order overflows at; if it does not, its product is the answer
+        full = _extend_prefixes(factors, built)[-1]
+
     return JacobianTrace(
-        full=per_layer[-1],
-        per_layer=tuple(per_layer),
+        full=full,
+        per_layer=_Prefixes(model.input_dim, factors, full, built),
         activations=tuple(activations),
         weighted_inputs=tuple(weighted_inputs),
         singular_hits=tuple(hits),
@@ -106,5 +264,5 @@ def jacobian_forward(model: LayeredModel, x, counter: EvalCounter | None = None)
 
 
 def jacobian_at_layer(trace: JacobianTrace, layer: int) -> np.ndarray:
-    """The stored J[layer] for layer in 1..L (1 = input, so J[1] = I_m)."""
+    """J[layer] for layer in 1..L (1 = input, so J[1] = I_m); see :class:`JacobianTrace`."""
     return trace.per_layer[_checked_layer(layer, 1, trace.layer_count) - 1]

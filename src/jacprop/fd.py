@@ -60,6 +60,9 @@ def finite_difference_jacobian(
 
     Forward scheme: column j = (F(x + h e_j) - F(x)) / h.
     Central scheme: column j = (F(x + h e_j) - F(x - h e_j)) / (2h).
+    Raises :class:`NonFiniteError` naming the first column (1-based) that
+    is not finite, for instance when two finite probe outputs differ by
+    more than float64 can hold.
     """
     cfg = cfg or FDConfig()
     vec = _checked_input(model, x)
@@ -71,7 +74,7 @@ def finite_difference_jacobian(
         shifted[j] += sign * h
         return _probe_output(model, shifted, counter, f"x {'+' if sign > 0 else '-'} h e_{j + 1}")
 
-    # every probe reports its own overflow; the differences below are not checked, so they stay outside
+    # every probe reports its own overflow, and the estimate is checked as a whole
     with np.errstate(over="ignore", invalid="ignore"):
         if cfg.scheme == "forward":
             base = _probe_output(model, vec, counter, "base point")
@@ -80,7 +83,12 @@ def finite_difference_jacobian(
         else:
             pairs = [(probe(j, 1.0), probe(j, -1.0)) for j in range(model.input_dim)]
             span = 2.0 * h
-    return np.column_stack([(high - low) / span for high, low in pairs])
+        estimate = np.column_stack([(high - low) / span for high, low in pairs])
+    finite = np.isfinite(estimate)
+    if not finite.all():
+        column = int(np.flatnonzero(~finite.all(axis=0))[0]) + 1
+        raise NonFiniteError(f"non-finite finite-difference estimate in column {column}")
+    return estimate
 
 
 def _checked_tolerance(tolerance) -> float:

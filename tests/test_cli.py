@@ -16,6 +16,13 @@ OVERFLOW = '{"schema_version": "1", "input_dim": 1, "layers": [%s, %s]}' % (
     ('{"weights": [[1e308]], "activation": {"kind": "identity"}}',) * 2
 )
 
+# one identity layer: check's central probes at 0 with step 1 give +-1.7e308, a difference beyond float64
+WIDE_STEP = '{"schema_version": "1", "input_dim": 1, "layers": [{"weights": [[1.7e308]], "activation": {"kind": "identity"}}]}'
+# 2->1->1->1 at (1e-200, 0): the Jacobian is 1e200 in each column, its prefix J[3] is 1e400
+PREFIX_OVERFLOW = '{"schema_version": "1", "input_dim": 2, "layers": [%s, %s, %s]}' % tuple(
+    '{"weights": %s, "activation": {"kind": "identity"}}' % w for w in ("[[1e200, 1e200]]", "[[1e200]]", "[[1e-200]]")
+)
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -33,6 +40,8 @@ def models(tmp_path):
         ("invalid", INVALID),
         ("relu", RELU_EYE),
         ("wide3", WIDE3),
+        ("wide_step", WIDE_STEP),
+        ("prefix_overflow", PREFIX_OVERFLOW),
     ):
         path = tmp_path / f"{name}.json"
         path.write_text(doc)
@@ -123,6 +132,16 @@ class TestJacobian:
         assert result.returncode == 3
         assert result.stdout == ""
 
+    def test_overflowing_prefix_fails_only_where_read(self, models):
+        full = run_cli("jacobian", "--model", models["prefix_overflow"], "--input", "1e-200,0")
+        assert full.returncode == 0
+        assert full.stderr == ""
+        assert np.allclose(parse_matrix(full.stdout), [[1e200, 1e200]], rtol=1e-15, atol=0)
+        prefix = run_cli("jacobian", "--model", models["prefix_overflow"], "--input", "1e-200,0", "--layer", "3")
+        assert prefix.returncode == 1
+        assert prefix.stdout == ""
+        assert prefix.stderr == "error: non-finite Jacobian entries at layer 3\n"
+
     def test_json_format_carries_hits(self, models):
         result = run_cli("jacobian", "--model", models["relu"], "--input", "0,5", "--format", "json")
         doc = json.loads(result.stdout)
@@ -164,6 +183,12 @@ class TestCheck:
             "--fd-scheme", "forward", "--fd-step", "1e-7", "--tolerance", "1e-4",
         )
         assert result.returncode == 0
+
+    def test_non_finite_estimate_is_an_error(self, models):
+        result = run_cli("check", "--model", models["wide_step"], "--input", "0", "--fd-step", "1")
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: non-finite finite-difference estimate in column 1\n"
 
     def test_bad_step_rejected(self, models):
         result = run_cli(

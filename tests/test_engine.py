@@ -1,3 +1,9 @@
+import itertools
+import pickle
+import sys
+import threading
+from collections.abc import Sequence
+
 import numpy as np
 import pytest
 
@@ -10,6 +16,7 @@ from jacprop import (
     ModelValidationError,
     NonFiniteError,
     SingularityError,
+    activation_jacobian,
     finite_difference_jacobian,
     fold_bias,
     forward,
@@ -18,7 +25,8 @@ from jacprop import (
     prefix_model,
     suffix_model,
 )
-from helpers import random_smooth_model, seeded_model, spec_seed7_model
+from jacprop.engine import _plan
+from helpers import ALL_ELEMENTWISE, random_smooth_model, seeded_model, spec_seed7_model
 
 
 def _identity_model(matrices, input_dim):
@@ -26,6 +34,46 @@ def _identity_model(matrices, input_dim):
         LayerDef(weights=w, activation=ActivationSpec("identity")) for w in matrices
     )
     return LayeredModel(layers=layers, input_dim=input_dim)
+
+
+def _input_to_output(model, x):
+    """J[1..L] multiplied input-to-output from J[1] = I_m, as the one-pass engine always has.
+
+    Each step applies the activation Jacobian (a row scaling for
+    elementwise kinds) to the factor first when the layer does not
+    widen, J[l] = (J_sigma W) J[l-1], otherwise J_sigma (W J[l-1]).
+    """
+    jac = np.eye(model.input_dim)
+    prefixes = [jac]
+    for layer, z in zip(model.layers, jacobian_forward(model, x).weighted_inputs):
+        linear = layer.linear_part()
+        sigma = activation_jacobian(layer.activation, z).matrix
+        softmax = layer.activation.kind == "softmax"
+        rows = np.diag(sigma)[:, np.newaxis]
+
+        def apply(matrix):
+            return sigma @ matrix if softmax else rows * matrix
+
+        jac = apply(linear) @ jac if linear.shape[0] <= linear.shape[1] else apply(linear @ jac)
+        prefixes.append(jac)
+    return prefixes
+
+
+def _sweep_model(seed):
+    """Depth 1-5, widths 1-8, every kind (softmax anywhere), some folded biases; plus an input."""
+    rng = np.random.default_rng(seed)
+    depth = int(rng.integers(1, 6))
+    widths = [int(w) for w in rng.integers(1, 9, size=depth + 1)]
+    kinds = [(*ALL_ELEMENTWISE, "softmax")[int(k)] for k in rng.integers(0, 7, size=depth)]
+    biased = tuple(pos for pos in range(1, depth + 1) if rng.random() < 0.3)
+    return seeded_model(seed, widths, kinds, biased=biased), rng.uniform(-1.0, 1.0, size=widths[0])
+
+
+def _overflowing_prefix_model():
+    """2->1->1->1 at (1e-200, 0): values 1, 1e200, 1; the product is 1e200 but the prefix J[3] is 1e400."""
+    return _identity_model(
+        [np.full((1, 2), 1e200), np.full((1, 1), 1e200), np.full((1, 1), 1e-200)], input_dim=2
+    )
 
 
 class TestAlgorithm:
@@ -202,6 +250,51 @@ class TestErrors:
         with pytest.raises(NonFiniteError, match="layer 3"):
             forward(model, [1.0, 1.0])
 
+    def test_jacobian_overflow_names_its_layer(self):
+        # the values stay finite (1, then 1e200) while J[3] = 1e400 overflows
+        model = _identity_model([np.full((1, 1), 1e200)] * 2, input_dim=1)
+        with pytest.raises(NonFiniteError, match="^non-finite Jacobian entries at layer 3$"):
+            jacobian_forward(model, [1e-200])
+
+    def test_value_pass_errors_come_before_an_earlier_jacobian_overflow(self):
+        # J[3] overflows, but the Jacobian is checked after the last layer:
+        # the value pass's own error at layer 4 is reported first
+        model = _identity_model([np.full((1, 1), 1e200)] * 3, input_dim=1)
+        with pytest.raises(NonFiniteError, match="^non-finite weighted input at layer 4$"):
+            jacobian_forward(model, [1e-200])
+        kinked = LayeredModel(
+            layers=_identity_model([np.full((1, 1), 1e200)] * 2, input_dim=1).layers
+            + (LayerDef(weights=np.zeros((1, 1)), activation=ActivationSpec("relu", relu_zero_policy="reject")),),
+            input_dim=1,
+        )
+        with pytest.raises(SingularityError) as excinfo:
+            jacobian_forward(kinked, [1e-200])
+        assert (excinfo.value.layer, excinfo.value.coordinate) == (4, 1)
+
+    def test_finite_product_with_an_overflowing_prefix(self):
+        assert _plan((1, 1, 1, 2)) == ((0, 1), 2)  # output-to-input: 1e-200 * 1e200 first
+        trace = jacobian_forward(_overflowing_prefix_model(), [1e-200, 0.0])
+        assert np.allclose(trace.full, [[1e200, 1e200]], rtol=1e-15, atol=0)
+        assert np.array_equal(trace.per_layer[1], [[1e200, 1e200]])
+        assert jacobian_at_layer(trace, 4) is trace.full
+        # the prefix is refused where it is read, every time, and without a numpy warning
+        for _ in range(2):
+            with pytest.raises(NonFiniteError, match="^non-finite Jacobian entries at layer 3$"):
+                trace.per_layer[2]
+            with pytest.raises(NonFiniteError, match="^non-finite Jacobian entries at layer 3$"):
+                jacobian_at_layer(trace, 3)
+
+    def test_product_overflow_falls_back_to_the_input_to_output_order(self):
+        # output-to-input meets 1e200 * 1e200 first; input-to-output stays finite
+        model = _identity_model(
+            [np.full((1, 2), 1e-200), np.full((1, 1), 1e200), np.full((1, 1), 1e200)], input_dim=2
+        )
+        trace = jacobian_forward(model, [1.0, 0.0])
+        expected = _input_to_output(model, [1.0, 0.0])
+        assert np.all(np.isfinite(trace.full))
+        assert np.array_equal(trace.full, expected[-1])
+        assert np.array_equal(trace.per_layer[2], expected[2])
+
     def test_trace_matrices_read_only(self):
         model, x = spec_seed7_model()
         trace = jacobian_forward(model, x)
@@ -231,3 +324,131 @@ class TestOracleSweep:
                 product = layer.weights @ product
             trace = jacobian_forward(model, x)
             assert np.max(np.abs(trace.full - product)) <= 1e-12
+
+
+def _multiplications(plan, dims):
+    """(rows, cols, multiplications) of a bracketing of the chain with shapes dims[i] x dims[i+1]."""
+    if isinstance(plan, int):
+        return dims[plan], dims[plan + 1], 0
+    (rows, inner, left), (_, cols, right) = (_multiplications(part, dims) for part in plan)
+    return rows, cols, left + right + rows * inner * cols
+
+
+def _bracketings(i, j):
+    if i == j:
+        yield i
+        return
+    for s in range(i, j):
+        for left, right in itertools.product(_bracketings(i, s), _bracketings(s + 1, j)):
+            yield (left, right)
+
+
+def _leaves(plan):
+    return [plan] if isinstance(plan, int) else _leaves(plan[0]) + _leaves(plan[1])
+
+
+class TestPlan:
+    def test_plan_is_a_cheapest_bracketing(self):
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            k = int(rng.integers(1, 7))
+            # narrow ranges make many ties
+            dims = tuple(int(d) for d in rng.integers(1, 4 if seed % 2 else 100, size=k + 1))
+            plan = _plan(dims)
+            assert _leaves(plan) == list(range(k)), dims
+            cheapest = min(_multiplications(b, dims)[2] for b in _bracketings(0, k - 1))
+            assert _multiplications(plan, dims)[2] == cheapest, dims
+
+    def test_order_follows_the_shapes(self):
+        # product order is F[L] ... F[2]: dims run from the output width to the input width
+        assert _plan((10, 512, 512, 784)) == ((0, 1), 2)  # 784->512->512->10: output-to-input
+        assert _plan((64, 64, 64, 1)) == (0, (1, 2))  # 1->64->64->64: input-to-output
+
+    def test_ties_break_the_same_way_every_time(self):
+        assert _plan((4,) * 5) == (0, (1, (2, 3)))  # every bracketing ties; the leftmost split wins
+        model = seeded_model(3, (4, 4, 4, 4, 4), ("tanh", "softplus", "logistic", "tanh"))
+        x = np.array([0.3, -0.1, 0.7, 0.2])
+        first, again = jacobian_forward(model, x).full, jacobian_forward(model, x).full
+        assert first.tobytes() == again.tobytes()
+
+    def test_product_agrees_with_the_input_to_output_order(self):
+        # the models of acceptance criterion 1
+        for seed in range(200):
+            model, x = random_smooth_model(seed)
+            full = jacobian_forward(model, x).full
+            expected = _input_to_output(model, x)[-1]
+            assert np.max(np.abs(full - expected)) <= 1e-13 * (1.0 + np.max(np.abs(expected))), seed
+
+    def test_prefixes_are_the_input_to_output_products(self):
+        for seed in range(400):
+            model, x = _sweep_model(seed)
+            trace = jacobian_forward(model, x)
+            expected = _input_to_output(model, x)
+            for index in range(model.layer_count - 1):
+                # bit for bit, the sign of zero included
+                assert trace.per_layer[index].tobytes() == expected[index].tobytes(), (seed, index + 1)
+            if model.layer_count == 2:  # a chain of one factor: the product is J[2]
+                assert trace.full.tobytes() == expected[1].tobytes(), seed
+
+    def test_signed_zero_weights_keep_the_prefix_bits(self):
+        # J[2] = F[2] I_m, and the product with I_m turns a -0 weight into +0
+        for weights in ([[-0.0, 1.0]], [[-0.0], [1.0]]):
+            w = np.array(weights)
+            for model in (_identity_model([w], w.shape[1]), _identity_model([w, np.ones((1, w.shape[0]))], w.shape[1])):
+                x = np.ones(w.shape[1])
+                prefix = jacobian_forward(model, x).per_layer[1]
+                assert prefix.tobytes() == _input_to_output(model, x)[1].tobytes()
+                assert not np.signbit(prefix).any()
+
+
+class TestPrefixes:
+    def test_per_layer_is_a_read_only_sequence(self):
+        model, x = spec_seed7_model()
+        trace = jacobian_forward(model, x)
+        per_layer = trace.per_layer
+        assert isinstance(per_layer, Sequence) and len(per_layer) == 4
+        assert per_layer[3] is per_layer[-1] is trace.full
+        assert per_layer[0] is per_layer[-4] and per_layer[1] is per_layer[1]
+        assert [J.shape for J in per_layer[1:3]] == [(5, 4), (5, 4)]
+        assert [J.shape for J in per_layer[::-1]] == [(3, 4), (5, 4), (5, 4), (4, 4)]
+        with pytest.raises(IndexError):
+            per_layer[4]
+        with pytest.raises(TypeError):
+            per_layer[1] = np.zeros((5, 4))
+        for matrix in per_layer:
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 1.0
+
+    def test_trace_survives_pickling(self):
+        model, x = spec_seed7_model()
+        trace = jacobian_forward(model, x)
+        copy = pickle.loads(pickle.dumps(trace))
+        for got, expected in zip(copy.per_layer, trace.per_layer):
+            assert np.array_equal(got, expected)
+
+    def test_concurrent_first_reads_agree(self):
+        model = seeded_model(5, (6, 8, 8, 8, 8, 3), ("tanh", "relu", "softplus", "logistic", "softmax"))
+        x = np.linspace(-1.0, 1.0, 6)
+        expected = _input_to_output(model, x)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                trace = jacobian_forward(model, x)
+                seen = []
+
+                def read():
+                    seen.append([trace.per_layer[index] for index in (4, 1, 3, 0, 2)])
+
+                threads = [threading.Thread(target=read) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(seen) == 8
+                for got in seen:
+                    for matrix, index in zip(got, (4, 1, 3, 0, 2)):
+                        assert np.array_equal(matrix, expected[index])
+        finally:
+            sys.setswitchinterval(interval)

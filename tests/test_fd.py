@@ -149,6 +149,18 @@ class TestConfigAndErrors:
         assert cfg.step == 1e-5
         assert cfg.scheme == "central"
 
+    def test_non_finite_estimate_is_named(self):
+        # both probe outputs (+-1.7e308) are finite; their difference is not
+        model = _single_layer(np.array([[1.7e308]]), "identity")
+        with pytest.raises(NonFiniteError, match="^non-finite finite-difference estimate in column 1$"):
+            finite_difference_jacobian(model, [0.0], FDConfig(step=1.0, scheme="central"))
+        wide = _single_layer(np.array([[1.0, 1.7e308]]), "identity")
+        with pytest.raises(NonFiniteError, match="^non-finite finite-difference estimate in column 2$"):
+            finite_difference_jacobian(wide, [0.0, 0.0], FDConfig(step=1.0, scheme="central"))
+        # the forward scheme's difference F(x + h e_j) - F(x) still fits
+        estimate = finite_difference_jacobian(wide, [0.0, 0.0], FDConfig(step=1.0, scheme="forward"))
+        assert np.array_equal(estimate, [[1.0, 1.7e308]])
+
     def test_non_finite_probe_is_named(self):
         # F(x) is finite but F(x + h) overflows
         model = _single_layer(np.array([[1e308]]), "identity")
