@@ -87,7 +87,7 @@ class _Factor:
         return jac
 
 
-@functools.lru_cache(maxsize=256)
+@functools.cache
 def _plan(dims: tuple[int, ...]):
     """The cheapest bracketing of the product A_0 A_1 ... A_{k-1}, where A_i is dims[i] x dims[i+1].
 
@@ -95,7 +95,8 @@ def _plan(dims: tuple[int, ...]):
     (CLRS §15.2). A bracketing is a factor index or a (left, right)
     pair of bracketings. Ties go to the leftmost split, so the plan
     depends on the shapes alone, and a model reuses its plan on every
-    pass.
+    pass. The cache is unbounded: it holds one small tuple per distinct
+    shape chain a process differentiates.
     """
     k = len(dims) - 1
     cost = [[0] * k for _ in range(k)]
@@ -125,7 +126,10 @@ def _evaluate(plan, chain: list[_Factor]) -> np.ndarray:
         return chain[plan].first()
     left, right = plan
     if isinstance(left, int) and isinstance(right, int):
-        # two factors: multiply out the smaller one (the output side on a tie), apply the other to it
+        # Two factors have one bracketing; this branch exists for cost. Only the smaller factor is
+        # multiplied out (the output side on a tie) and the other is applied to it: the generic
+        # path below would multiply out the input-side factor, a 1024x1024 D W on the wide
+        # models, which costs wide-mlp about a third of its req_per_s (see CHANGES.md).
         a, b = chain[left], chain[right]
         return b.rdot(a.dense()) if a.linear.size <= b.linear.size else a.dot(b.dense())
     if isinstance(left, int):
