@@ -194,7 +194,7 @@ def _cmd_check(args) -> int:
     tolerance = _checked_option("--tolerance", _checked_tolerance, args.tolerance)
     model, vec = _load(args)
     trace = jacobian_forward(model, vec)
-    estimate = finite_difference_jacobian(model, vec, fd_config)
+    estimate = _checked_option("--fd-step", finite_difference_jacobian, model, vec, fd_config)
     result = compare_jacobians(trace.full, estimate, tolerance)
     row, col = result.argmax_location
     if args.format == "csv":

@@ -1,4 +1,4 @@
-"""The exact Jacobian of a layered model at one instance, as a planned chain product.
+"""The exact Jacobian of a layered model at one instance, as a chain product.
 
 The model's Jacobian factors through the layers as a matrix chain:
 
@@ -17,26 +17,22 @@ stops the pass before the next layer is evaluated. A factor is kept as
 its slope and its weights and is never multiplied out in the chain: it
 is applied to a dense matrix C as D W C = d * (W C) or C D W = (C * d) W.
 
-Once every factor is in, the product is computed once, in the
-bracketing that matrix-chain dynamic programming over the factor shapes
-finds cheapest (CLRS §15.2). On a wide-input, narrow-output classifier
-that is the output-to-input order. Every bracketing computes the same
-exact product and differs only in rounding; this is not an adjoint
-program, the factors are the same ones an input-to-output pass uses.
+The prefix Jacobians J[l], one per layer, are the Jacobians of the model
+prefix ending at layer l:
 
-The prefix Jacobians J[l], one per layer, are kept as a byproduct. J[l]
-is the Jacobian of the model prefix ending at layer l:
+    J[1] = I_m,  J[2] = F[2],  J[l] = F[l] J[l-1]  for l = 3..L,  J[L] = J
 
-    J[1] = I_m,  J[2] = F[2],  J[l] = F[l] J[l-1]  for l = 3..L-1,  J[L] = the product
-
-They are built in this input-to-output order on first access.
-
-The product is checked once. Only when it is not finite is the
-input-to-output order replayed, to name the first layer whose prefix
-overflows.
+Once every factor is in, the chain is multiplied from whichever end
+costs fewer multiplications (``_output_first``); both give the same
+exact product up to rounding. From the output end, F[L] is multiplied
+out and F[L-1], ..., F[2] are applied to it. That product is checked
+once, and only when it is not finite is the input-to-output order
+replayed, to name the first layer whose prefix overflows. From the input
+end the product is the prefix recursion above, which checks and keeps
+every prefix; otherwise a prefix is built on first access.
 """
 
-import functools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -87,79 +83,50 @@ class _Factor:
         return jac
 
 
-@functools.cache
-def _plan(dims: tuple[int, ...]):
-    """The cheapest bracketing of the product A_0 A_1 ... A_{k-1}, where A_i is dims[i] x dims[i+1].
+def _output_first(widths: Sequence[int]) -> bool:
+    """Whether the chain of a model with layer widths n[1..L] is multiplied from its output end.
 
-    Matrix-chain dynamic programming over the multiplication count
-    (CLRS §15.2). A bracketing is a factor index or a (left, right)
-    pair of bracketings. Ties go to the leftmost split, so the plan
-    depends on the shapes alone, and a model reuses its plan on every
-    pass. The cache is unbounded: it holds one small tuple per distinct
-    shape chain a process differentiates.
+    Each fold costs the multiplications of its matrix products: applying
+    F[L-1], ..., F[2] to the n[L] rows of F[L] costs n[L] * sum(n[l] n[l-1],
+    l = 2..L-1); applying F[3], ..., F[L] to the n[1] columns of J[2] costs
+    n[1] * sum(n[l] n[l-1], l = 3..L). The cheaper fold wins; ties go to
+    the output end.
     """
-    k = len(dims) - 1
-    cost = [[0] * k for _ in range(k)]
-    split = [[0] * k for _ in range(k)]
-    for span in range(1, k):
-        for i in range(k - span):
-            j = i + span
-            best = None
-            for s in range(i, j):
-                c = cost[i][s] + cost[s + 1][j] + dims[i] * dims[s + 1] * dims[j + 1]
-                if best is None or c < best:
-                    best, split[i][j] = c, s
-            cost[i][j] = best
-
-    def tree(i, j):
-        if i == j:
-            return i
-        s = split[i][j]
-        return (tree(i, s), tree(s + 1, j))
-
-    return tree(0, k - 1)
+    sizes = [rows * cols for rows, cols in zip(widths[1:], widths)]
+    return widths[-1] * sum(sizes[:-1]) <= widths[0] * sum(sizes[1:])
 
 
-def _evaluate(plan, chain: list[_Factor]) -> np.ndarray:
-    """The product of ``chain`` (output side first) in the bracketing ``plan``."""
-    if isinstance(plan, int):  # a chain of one factor: the product is J[2]
-        return chain[plan].first()
-    left, right = plan
-    if isinstance(left, int) and isinstance(right, int):
-        # Two factors have one bracketing; this branch exists for cost. Only the smaller factor is
-        # multiplied out (the output side on a tie) and the other is applied to it: the generic
-        # path below would multiply out the input-side factor, a 1024x1024 D W on the wide
-        # models, which costs wide-mlp about a third of its req_per_s (see CHANGES.md).
-        a, b = chain[left], chain[right]
-        return b.rdot(a.dense()) if a.linear.size <= b.linear.size else a.dot(b.dense())
-    if isinstance(left, int):
-        return chain[left].dot(_evaluate(right, chain))
-    if isinstance(right, int):
-        return chain[right].rdot(_evaluate(left, chain))
-    return _evaluate(left, chain) @ _evaluate(right, chain)
+def _finite(matrix: np.ndarray) -> bool:
+    """Whether every entry is finite, under the callers' errstate.
+
+    A NaN or infinite entry makes the sum non-finite, so a finite sum
+    settles it cheaply; only a sum that overflows needs the entrywise test.
+    """
+    return math.isfinite(matrix.sum()) or bool(np.isfinite(matrix).all())
 
 
 def _extend_prefixes(factors: tuple[_Factor, ...], built: list[np.ndarray]) -> list[np.ndarray]:
     """``built`` (J[2], J[3], ... so far) extended through every factor, in input-to-output order.
 
     Each new prefix is checked: NonFiniteError names the first layer
-    whose prefix overflows.
+    whose prefix overflows. Callers hold ``np.errstate(over="ignore",
+    invalid="ignore")``, so no numpy warning reports it first.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        for net_layer in range(len(built) + 2, len(factors) + 2):
-            factor = factors[net_layer - 2]
-            jac = factor.extend(built[-1]) if built else factor.first()
-            if not np.isfinite(jac).all():
-                raise NonFiniteError(f"non-finite Jacobian entries at layer {net_layer}")
-            built.append(_freeze(jac))
+    for net_layer in range(len(built) + 2, len(factors) + 2):
+        factor = factors[net_layer - 2]
+        jac = factor.extend(built[-1]) if built else factor.first()
+        if not _finite(jac):
+            raise NonFiniteError(f"non-finite Jacobian entries at layer {net_layer}")
+        built.append(_freeze(jac))
     return built
 
 
 class _Prefixes(Sequence):
     """J[1], ..., J[L] as a read-only sequence; see the module docstring.
 
-    J[L] is the product itself. The identity J[1] and each J[l] for
-    2 <= l < L are built on first access, input-to-output, and kept.
+    J[L] is the product itself. The identity J[1], and each J[l] for
+    2 <= l < L that the pass did not keep, are built on first access,
+    input-to-output, and kept.
     Concurrent readers may build a prefix twice; both get the same values.
     """
 
@@ -185,7 +152,8 @@ class _Prefixes(Sequence):
             return self._identity
         built = self._built
         if len(built) < index:
-            built = _extend_prefixes(self._factors[:index], list(built))
+            with np.errstate(over="ignore", invalid="ignore"):
+                built = _extend_prefixes(self._factors[:index], list(built))
             self._built = built
         return built[index - 1]
 
@@ -196,7 +164,8 @@ class JacobianTrace:
 
     ``per_layer[l-1]`` is J[l] for l = 1..L, where layer 1 is the input
     (J[1] = I_m) and J[L] is ``full``. It is a read-only sequence whose
-    intermediate entries are built on first access; reading one whose
+    intermediate entries the pass builds when it multiplies from the
+    input end, and otherwise builds on first access; reading one whose
     input-to-output product overflows raises :class:`NonFiniteError`
     naming that layer, even though ``full`` is finite.
     ``singular_hits`` lists (layer, coordinate) pairs, 1-based, where a
@@ -247,16 +216,20 @@ def jacobian_forward(model: LayeredModel, x, counter: EvalCounter | None = None)
             weighted_inputs.append(_freeze(z))
             activations.append(_freeze(a))
 
-        chain = factors[::-1]
-        dims = (chain[0].linear.shape[0], *(factor.linear.shape[1] for factor in chain))
-        full = _evaluate(_plan(dims), chain)
-    factors = tuple(factors)
-    built: list[np.ndarray] = []
-    if np.isfinite(full).all():
-        full = _freeze(full)
-    else:
-        # name the layer the input-to-output order overflows at; if it does not, its product is the answer
-        full = _extend_prefixes(factors, built)[-1]
+        factors = tuple(factors)
+        built: list[np.ndarray] = []
+        full = None
+        # a chain of one factor is J[2] = F[2] + 0 (see _Factor.first), which the input-first pass builds
+        if len(factors) > 1 and _output_first([model.input_dim, *(f.linear.shape[0] for f in factors)]):
+            product = factors[-1].dense()
+            for factor in reversed(factors[:-1]):
+                product = factor.rdot(product)
+            if _finite(product):
+                full = _freeze(product)
+        if full is None:
+            # the input-first fold, or the output-first product overflowed: name the layer the
+            # input-to-output order overflows at; if it does not, its product is the answer
+            full = _extend_prefixes(factors, built)[-1]
 
     return JacobianTrace(
         full=full,

@@ -58,32 +58,41 @@ def finite_difference_jacobian(
 ) -> np.ndarray:
     """Estimate the Jacobian at x by perturbing one coordinate at a time.
 
-    Forward scheme: column j = (F(x + h e_j) - F(x)) / h.
-    Central scheme: column j = (F(x + h e_j) - F(x - h e_j)) / (2h).
-    Raises :class:`NonFiniteError` naming the first column (1-based) that
-    is not finite, for instance when two finite probe outputs differ by
-    more than float64 can hold.
+    Forward scheme: column j = (F(x + h e_j) - F(x)) / ((x + h)_j - x_j).
+    Central scheme: column j = (F(x + h e_j) - F(x - h e_j)) / ((x + h)_j - (x - h)_j).
+    The divisor is the spacing the probes have, h or 2h only where
+    x_j +- h is exact. Raises ``ValueError`` naming the first input
+    coordinate (1-based) where the step vanishes in rounding, and
+    :class:`NonFiniteError` naming the first column that is not finite,
+    for instance when two finite probe outputs differ by more than
+    float64 can hold.
     """
     cfg = cfg or FDConfig()
     vec = _checked_input(model, x)
     h = cfg.step
+    # Python floats round as float64 does; an x_j + h that overflows is inf, and its probe reports it
+    coords = vec.tolist()
+    high = [v + h for v in coords]
+    low = coords if cfg.scheme == "forward" else [v - h for v in coords]
+    spacing = [up - down for up, down in zip(high, low)]
+    if 0.0 in spacing:
+        j = spacing.index(0.0)
+        raise ValueError(f"step {h!r} vanishes in rounding at input coordinate {j + 1} (value {coords[j]!r})")
 
-    def probe(j: int, sign: float) -> np.ndarray:
-        """F(x + sign h e_j); x + (-h) is exactly x - h."""
+    def probe(j: int, shifted_j: float, label: str) -> np.ndarray:
+        """F at x with coordinate j moved to shifted_j."""
         shifted = vec.copy()
-        shifted[j] += sign * h
-        return _probe_output(model, shifted, counter, f"x {'+' if sign > 0 else '-'} h e_{j + 1}")
+        shifted[j] = shifted_j
+        return _probe_output(model, shifted, counter, f"x {label} h e_{j + 1}")
 
     # every probe reports its own overflow, and the estimate is checked as a whole
     with np.errstate(over="ignore", invalid="ignore"):
         if cfg.scheme == "forward":
             base = _probe_output(model, vec, counter, "base point")
-            pairs = [(probe(j, 1.0), base) for j in range(model.input_dim)]
-            span = h
+            pairs = [(probe(j, high[j], "+"), base) for j in range(model.input_dim)]
         else:
-            pairs = [(probe(j, 1.0), probe(j, -1.0)) for j in range(model.input_dim)]
-            span = 2.0 * h
-        estimate = np.column_stack([(high - low) / span for high, low in pairs])
+            pairs = [(probe(j, high[j], "+"), probe(j, low[j], "-")) for j in range(model.input_dim)]
+        estimate = np.column_stack([(up - down) / step for (up, down), step in zip(pairs, spacing)])
     finite = np.isfinite(estimate)
     if not finite.all():
         column = int(np.flatnonzero(~finite.all(axis=0))[0]) + 1
@@ -97,12 +106,19 @@ def _checked_tolerance(tolerance) -> float:
 
 
 def compare_jacobians(a, b, tolerance: float) -> ComparisonResult:
-    """Elementwise comparison of two matrices against an absolute tolerance (>= 0)."""
+    """Elementwise comparison of two finite matrices against an absolute tolerance (>= 0).
+
+    Raises :class:`NonFiniteError` naming the argument (``a`` or ``b``)
+    that holds a NaN or an infinity: no difference to it is meaningful.
+    """
     mat_a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     mat_b = np.atleast_2d(np.asarray(b, dtype=np.float64))
     if mat_a.shape != mat_b.shape:
         raise DimensionMismatchError(f"shape mismatch: {mat_a.shape} vs {mat_b.shape}")
     tol = _checked_tolerance(tolerance)
+    for name, matrix in (("a", mat_a), ("b", mat_b)):
+        if not np.isfinite(matrix).all():
+            raise NonFiniteError(f"{name} contains non-finite entries")
     diff = np.abs(mat_a - mat_b)
     flat_argmax = int(np.argmax(diff))
     row, col = np.unravel_index(flat_argmax, diff.shape)

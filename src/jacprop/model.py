@@ -82,7 +82,11 @@ class LayeredModel:
         layers = tuple(self.layers)
         if not all(isinstance(layer, LayerDef) for layer in layers):
             raise TypeError("layers must contain LayerDef values")
-        if isinstance(self.input_dim, bool) or int(self.input_dim) != self.input_dim:
+        try:
+            not_integer = isinstance(self.input_dim, bool) or int(self.input_dim) != self.input_dim
+        except (TypeError, ValueError, OverflowError):  # None, a string, NaN, an infinity
+            not_integer = True
+        if not_integer:
             raise TypeError("input_dim must be an integer")
         if int(self.input_dim) < 1:
             raise ValueError("input_dim must be a positive integer")

@@ -18,6 +18,7 @@ OVERFLOW = '{"schema_version": "1", "input_dim": 1, "layers": [%s, %s]}' % (
 
 # one identity layer: check's central probes at 0 with step 1 give +-1.7e308, a difference beyond float64
 WIDE_STEP = '{"schema_version": "1", "input_dim": 1, "layers": [{"weights": [[1.7e308]], "activation": {"kind": "identity"}}]}'
+IDENTITY = '{"schema_version": "1", "input_dim": 1, "layers": [{"weights": [[1]], "activation": {"kind": "identity"}}]}'
 # 2->1->1->1 at (1e-200, 0): the Jacobian is 1e200 in each column, its prefix J[3] is 1e400
 PREFIX_OVERFLOW = '{"schema_version": "1", "input_dim": 2, "layers": [%s, %s, %s]}' % tuple(
     '{"weights": %s, "activation": {"kind": "identity"}}' % w for w in ("[[1e200, 1e200]]", "[[1e200]]", "[[1e-200]]")
@@ -41,6 +42,7 @@ def models(tmp_path):
         ("relu", RELU_EYE),
         ("wide3", WIDE3),
         ("wide_step", WIDE_STEP),
+        ("identity", IDENTITY),
         ("prefix_overflow", PREFIX_OVERFLOW),
     ):
         path = tmp_path / f"{name}.json"
@@ -189,6 +191,17 @@ class TestCheck:
         assert result.returncode == 1
         assert result.stdout == ""
         assert result.stderr == "error: non-finite finite-difference estimate in column 1\n"
+
+    def test_rounded_probe_spacing_is_exact(self, models):
+        # 1e4 +- 1e-12 is not 2e-12 apart; dividing by the real spacing gives the exact slope 1
+        result = run_cli("check", "--model", models["identity"], "--input", "10000", "--fd-step", "1e-12")
+        assert (result.returncode, result.stdout, result.stderr) == (0, "0,0,1,1,true\n", "")
+
+    def test_vanishing_step_is_a_usage_error(self, models):
+        result = run_cli("check", "--model", models["identity"], "--input", "1", "--fd-step", "1e-17")
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: --fd-step: step 1e-17 vanishes in rounding at input coordinate 1 (value 1.0)\n"
 
     def test_bad_step_rejected(self, models):
         result = run_cli(

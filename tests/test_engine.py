@@ -1,4 +1,3 @@
-import itertools
 import pickle
 import sys
 import threading
@@ -25,7 +24,7 @@ from jacprop import (
     prefix_model,
     suffix_model,
 )
-from jacprop.engine import _plan
+from jacprop.engine import _output_first
 from helpers import ALL_ELEMENTWISE, random_smooth_model, seeded_model, spec_seed7_model
 
 
@@ -272,7 +271,7 @@ class TestErrors:
         assert (excinfo.value.layer, excinfo.value.coordinate) == (4, 1)
 
     def test_finite_product_with_an_overflowing_prefix(self):
-        assert _plan((1, 1, 1, 2)) == ((0, 1), 2)  # output-to-input: 1e-200 * 1e200 first
+        assert _output_first((2, 1, 1, 1))  # output-to-input: 1e-200 * 1e200 first
         trace = jacobian_forward(_overflowing_prefix_model(), [1e-200, 0.0])
         assert np.allclose(trace.full, [[1e200, 1e200]], rtol=1e-15, atol=0)
         assert np.array_equal(trace.per_layer[1], [[1e200, 1e200]])
@@ -294,6 +293,14 @@ class TestErrors:
         assert np.all(np.isfinite(trace.full))
         assert np.array_equal(trace.full, expected[-1])
         assert np.array_equal(trace.per_layer[2], expected[2])
+
+    def test_finite_entries_whose_sum_overflows_pass_the_check(self):
+        # J = [[1.7e308, 1.7e308]] is finite although its sum is not: one factor (input-first) and two (output-first)
+        w = np.full((1, 2), 1.7e308)
+        for model in (_identity_model([w], 2), _identity_model([w, np.ones((1, 1))], 2)):
+            trace = jacobian_forward(model, [0.0, 0.0])
+            assert np.array_equal(trace.full, w)
+            assert np.array_equal(trace.per_layer[1], w)
 
     def test_trace_matrices_read_only(self):
         model, x = spec_seed7_model()
@@ -326,50 +333,78 @@ class TestOracleSweep:
             assert np.max(np.abs(trace.full - product)) <= 1e-12
 
 
-def _multiplications(plan, dims):
-    """(rows, cols, multiplications) of a bracketing of the chain with shapes dims[i] x dims[i+1]."""
-    if isinstance(plan, int):
-        return dims[plan], dims[plan + 1], 0
-    (rows, inner, left), (_, cols, right) = (_multiplications(part, dims) for part in plan)
-    return rows, cols, left + right + rows * inner * cols
+def _output_to_input(model, x):
+    """J = F[L] ... F[2] from the output end: F[L] multiplied out, then each factor applied from the right."""
+    trace = jacobian_forward(model, x)
+    factors = []
+    for layer, z in zip(model.layers, trace.weighted_inputs):
+        sigma = activation_jacobian(layer.activation, z).matrix
+        factors.append((sigma if layer.activation.kind == "softmax" else np.diag(sigma), layer.linear_part()))
+    slope, linear = factors[-1]
+    product = slope @ linear if slope.ndim == 2 else slope[:, np.newaxis] * linear
+    for slope, linear in reversed(factors[:-1]):
+        product = (product @ slope if slope.ndim == 2 else product * slope) @ linear
+    return product
 
 
-def _bracketings(i, j):
-    if i == j:
-        yield i
-        return
-    for s in range(i, j):
-        for left, right in itertools.product(_bracketings(i, s), _bracketings(s + 1, j)):
-            yield (left, right)
+def _fold_costs(widths):
+    """Multiplications of the output-first and the input-first fold, one matrix product at a time."""
+    shapes = list(zip(widths[1:], widths[:-1]))  # F[2], ..., F[L]
+    output, (rows, inner) = 0, shapes[-1]
+    for _, cols in reversed(shapes[:-1]):
+        output += rows * inner * cols
+        inner = cols
+    input_first, (inner, cols) = 0, shapes[0]
+    for rows, _ in shapes[1:]:
+        input_first += rows * inner * cols
+        inner = rows
+    return output, input_first
 
 
-def _leaves(plan):
-    return [plan] if isinstance(plan, int) else _leaves(plan[0]) + _leaves(plan[1])
+def _random_widths(seed):
+    """Layer widths n[1..L], input first, of a chain of 1-6 factors; narrow ranges make many ties."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 7))
+    return tuple(int(d) for d in rng.integers(1, 4 if seed % 2 else 100, size=k + 1))
 
 
 class TestPlan:
-    def test_plan_is_a_cheapest_bracketing(self):
+    def test_the_cheaper_fold_is_chosen(self):
         for seed in range(300):
-            rng = np.random.default_rng(seed)
-            k = int(rng.integers(1, 7))
-            # narrow ranges make many ties
-            dims = tuple(int(d) for d in rng.integers(1, 4 if seed % 2 else 100, size=k + 1))
-            plan = _plan(dims)
-            assert _leaves(plan) == list(range(k)), dims
-            cheapest = min(_multiplications(b, dims)[2] for b in _bracketings(0, k - 1))
-            assert _multiplications(plan, dims)[2] == cheapest, dims
+            widths = _random_widths(seed)
+            output, input_first = _fold_costs(widths)
+            assert _output_first(widths) == (output <= input_first), widths
 
     def test_order_follows_the_shapes(self):
-        # product order is F[L] ... F[2]: dims run from the output width to the input width
-        assert _plan((10, 512, 512, 784)) == ((0, 1), 2)  # 784->512->512->10: output-to-input
-        assert _plan((64, 64, 64, 1)) == (0, (1, 2))  # 1->64->64->64: input-to-output
+        assert _output_first((784, 512, 512, 10))
+        assert not _output_first((1, 64, 64, 64))
+        wide = seeded_model(4, (784, 512, 512, 10), ("relu", "relu", "softmax"))
+        x = np.linspace(-1.0, 1.0, 784)
+        assert jacobian_forward(wide, x).full.tobytes() == _output_to_input(wide, x).tobytes()
+        narrow = seeded_model(4, (1, 64, 64, 64), ("tanh", "logistic", "softplus"))
+        assert jacobian_forward(narrow, [0.5]).full.tobytes() == _input_to_output(narrow, [0.5])[-1].tobytes()
 
     def test_ties_break_the_same_way_every_time(self):
-        assert _plan((4,) * 5) == (0, (1, (2, 3)))  # every bracketing ties; the leftmost split wins
+        output, input_first = _fold_costs((4,) * 5)
+        assert output == input_first and _output_first((4,) * 5)
+        assert _output_first((3, 7, 2))  # two factors: both folds are the one product
         model = seeded_model(3, (4, 4, 4, 4, 4), ("tanh", "softplus", "logistic", "tanh"))
         x = np.array([0.3, -0.1, 0.7, 0.2])
         first, again = jacobian_forward(model, x).full, jacobian_forward(model, x).full
         assert first.tobytes() == again.tobytes()
+        assert first.tobytes() == _output_to_input(model, x).tobytes()
+
+    def test_input_first_product_is_the_last_prefix(self):
+        checked = 0
+        for seed in range(400):
+            model, x = _sweep_model(seed)
+            widths = (model.input_dim, *(layer.output_dim for layer in model.layers))
+            if model.layer_count > 2 and _output_first(widths):
+                continue
+            checked += 1
+            # bit for bit, the sign of zero included
+            assert jacobian_forward(model, x).full.tobytes() == _input_to_output(model, x)[-1].tobytes(), seed
+        assert checked >= 100
 
     def test_product_agrees_with_the_input_to_output_order(self):
         # the models of acceptance criterion 1

@@ -113,6 +113,11 @@ class TestCompare:
         result = compare_jacobians([[0.0]], [[0.5]], tolerance=0.5)
         assert result.within_tolerance is True
 
+    def test_non_finite_matrices_are_named(self):
+        for a, b, name in (([[np.inf]], [[np.inf]], "a"), ([[np.nan]], [[0.0]], "a"), ([[0.0, 1.0]], [[0.0, -np.inf]], "b")):
+            with pytest.raises(NonFiniteError, match=f"^{name} contains non-finite entries$"):
+                compare_jacobians(a, b, tolerance=1.0)
+
     @pytest.mark.parametrize("tolerance", [-1.0, float("nan")])
     def test_negative_or_nan_tolerance_rejected(self, tolerance):
         matrix = np.eye(2)
@@ -160,6 +165,23 @@ class TestConfigAndErrors:
         # the forward scheme's difference F(x + h e_j) - F(x) still fits
         estimate = finite_difference_jacobian(wide, [0.0, 0.0], FDConfig(step=1.0, scheme="forward"))
         assert np.array_equal(estimate, [[1.0, 1.7e308]])
+
+    def test_columns_are_divided_by_the_probes_spacing(self):
+        # x +- h is rounded: 1e4 +- 1e-12 and 3 +- 3e-16 are not 2h apart, but one identity layer moves by exactly as much
+        model = _single_layer(np.array([[1.0]]), "identity")
+        for x, step in ((1e4, 1e-12), (3.0, 3e-16), (1.0, 1e-5)):
+            for scheme in ("central", "forward"):
+                estimate = finite_difference_jacobian(model, [x], FDConfig(step=step, scheme=scheme))
+                assert estimate.tolist() == [[1.0]], (x, step, scheme)
+
+    def test_vanishing_step_is_named(self):
+        # 1 +- 1e-17 rounds to 1: no probe could see a change; the step is refused before any probe
+        model = _single_layer(np.eye(2), "identity")
+        counter = EvalCounter()
+        for scheme in ("central", "forward"):
+            with pytest.raises(ValueError, match=r"^step 1e-17 vanishes in rounding at input coordinate 2 \(value 1.0\)$"):
+                finite_difference_jacobian(model, [0.0, 1.0], FDConfig(step=1e-17, scheme=scheme), counter=counter)
+        assert counter.model_evals == 0
 
     def test_non_finite_probe_is_named(self):
         # F(x) is finite but F(x + h) overflows

@@ -192,6 +192,15 @@ class TestTypes:
         with pytest.raises(ValueError):
             LayeredModel(layers=(LayerDef(weights=[[1.0]], activation=ActivationSpec("identity")),), input_dim=0)
 
+    def test_input_dim_must_be_an_integer(self):
+        layers = (LayerDef(weights=[[1.0]], activation=ActivationSpec("identity")),)
+        for not_an_integer in (float("inf"), float("nan"), None, "1", 1.5, True, 1 + 0j, [1]):
+            with pytest.raises(TypeError, match="^input_dim must be an integer$"):
+                LayeredModel(layers=layers, input_dim=not_an_integer)
+        for integer in (1, 1.0, np.int64(1), np.float64(1.0)):
+            model = LayeredModel(layers=layers, input_dim=integer)
+            assert model.input_dim == 1 and type(model.input_dim) is int
+
     def test_instance_vector_rejects_non_finite(self):
         with pytest.raises(NonFiniteError):
             InstanceVector(values=np.array([1.0, np.inf]))
