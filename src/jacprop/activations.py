@@ -110,10 +110,11 @@ def _logistic(z: np.ndarray) -> np.ndarray:
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
+    """softmax of a vector; the value pass also gives it a matrix, taken column by column."""
     if np.size(z) < 1:
         raise ValueError("softmax requires a vector of length >= 1")
-    shifted = np.exp(z - np.max(z))
-    return shifted / np.sum(shifted)
+    shifted = np.exp(z - np.max(z, axis=0))
+    return shifted / np.sum(shifted, axis=0)
 
 
 def _kinked_slope(spec: ActivationSpec, z: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -149,6 +150,13 @@ _TABLE = {
 def activation_apply(spec: ActivationSpec, z) -> np.ndarray:
     """Apply the activation to a weighted-input vector."""
     return _TABLE[spec.kind][0](spec, _as_finite_vector(z, "activation input"))
+
+
+def _apply_columns(spec: ActivationSpec, z: np.ndarray) -> np.ndarray:
+    """:func:`activation_apply` to each column of a weighted-input matrix, checked as a whole."""
+    if not np.isfinite(z).all():
+        raise NonFiniteError("activation input contains non-finite entries")
+    return _TABLE[spec.kind][0](spec, z)
 
 
 def _slope(spec: ActivationSpec, z: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, list[int]]:

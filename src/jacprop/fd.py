@@ -3,6 +3,13 @@
 Deliberately knows nothing about the one-pass engine: it only evaluates
 the model, perturbing one input coordinate at a time. The forward scheme
 costs exactly m+1 model evaluations, the central scheme exactly 2m.
+
+The probes are stacked as the columns of a matrix and go through the
+model's one value pass in column blocks of bounded size (``_BLOCK_BYTES``),
+so a check on a wide input needs memory of the order of the budget, not
+of m^2. Only a block that holds a non-finite value is evaluated again one
+probe at a time, which names the first probe that overflows and the
+layer, exactly as evaluating every probe on its own would.
 """
 
 from dataclasses import dataclass
@@ -45,12 +52,58 @@ class ComparisonResult:
     within_tolerance: bool
 
 
+# bytes of one block's instances, weighted inputs and activations (see _block_columns)
+_BLOCK_BYTES = 1 << 20
+
+
+def _block_columns(model: LayeredModel) -> int:
+    """How many probes one block holds: the pass over one column keeps at most every
+    layer's input (bias row included), z and a, of 8 bytes each."""
+    per_column = 8 * sum(layer.weights.shape[1] + 2 * layer.output_dim for layer in model.layers)
+    return max(1, _BLOCK_BYTES // per_column)
+
+
 def _probe_output(model: LayeredModel, vec: np.ndarray, counter, probe: str) -> np.ndarray:
     try:
         *_, (_, _, _, output) = _layer_values(model, vec, counter)
     except NonFiniteError as exc:
         raise NonFiniteError(f"non-finite model output at probe {probe}: {exc}") from None
     return output
+
+
+def _probe_outputs(model: LayeredModel, vec: np.ndarray, rows, values, labels, counter) -> np.ndarray:
+    """F at every probe, as the columns of one matrix; probe i is x with coordinate rows[i] set to values[i].
+
+    The probes go through the value pass a block of columns at a time. A
+    block with a non-finite value is evaluated again one probe at a time,
+    in order: the first probe to overflow is named (``labels(i)``) with
+    its layer, and the counter counts just the evaluations made that way.
+    """
+    size = _block_columns(model)
+    blocks = []
+    for start in range(0, len(rows), size):
+        block_rows = rows[start : start + size]
+        block_values = values[start : start + size]
+        block = np.repeat(vec[:, np.newaxis], len(block_rows), axis=1)
+        block[block_rows, np.arange(len(block_rows))] = block_values
+        # counted once the block is known finite; a replayed block counts its own probes
+        block_counter = None if counter is None else EvalCounter()
+        try:
+            for *_, outputs in _layer_values(model, block, block_counter):
+                pass
+        except NonFiniteError:
+            replayed = []
+            for i, (row, value) in enumerate(zip(block_rows, block_values), start=start):
+                probe = vec.copy()
+                probe[row] = value
+                replayed.append(_probe_output(model, probe, counter, labels(i)))
+            outputs = np.column_stack(replayed)
+        else:
+            if counter is not None:
+                counter.count_model_eval(block_counter.model_evals)
+                counter.count_weighted_input(block_counter.weighted_input_evals)
+        blocks.append(outputs)
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
 
 
 def finite_difference_jacobian(
@@ -62,10 +115,12 @@ def finite_difference_jacobian(
     Central scheme: column j = (F(x + h e_j) - F(x - h e_j)) / ((x + h)_j - (x - h)_j).
     The divisor is the spacing the probes have, h or 2h only where
     x_j +- h is exact. Raises ``ValueError`` naming the first input
-    coordinate (1-based) where the step vanishes in rounding, and
-    :class:`NonFiniteError` naming the first column that is not finite,
-    for instance when two finite probe outputs differ by more than
-    float64 can hold.
+    coordinate (1-based) where the step vanishes in rounding, before any
+    probe is evaluated; :class:`NonFiniteError` naming the first probe
+    (base point, then x + h e_1, x - h e_1, x + h e_2, ...) whose output
+    overflows, and its layer; and :class:`NonFiniteError` naming the first
+    column of the estimate that is not finite, for instance when two
+    finite probe outputs differ by more than float64 can hold.
     """
     cfg = cfg or FDConfig()
     vec = _checked_input(model, x)
@@ -79,20 +134,30 @@ def finite_difference_jacobian(
         j = spacing.index(0.0)
         raise ValueError(f"step {h!r} vanishes in rounding at input coordinate {j + 1} (value {coords[j]!r})")
 
-    def probe(j: int, shifted_j: float, label: str) -> np.ndarray:
-        """F at x with coordinate j moved to shifted_j."""
-        shifted = vec.copy()
-        shifted[j] = shifted_j
-        return _probe_output(model, shifted, counter, f"x {label} h e_{j + 1}")
+    # the probes in the order evaluating them one at a time takes: the base point (coordinate 1
+    # set to itself) and x + h e_j for the forward scheme, x + h e_j and x - h e_j for the central one
+    m = len(coords)
+    if cfg.scheme == "forward":
+        rows = [0, *range(m)]
+        values = [coords[0], *high]
+
+        def labels(i: int) -> str:
+            return f"x + h e_{i}" if i else "base point"
+
+    else:
+        rows = [j for j in range(m) for _ in "+-"]
+        values = [v for pair in zip(high, low) for v in pair]
+
+        def labels(i: int) -> str:
+            return f"x {'+-'[i % 2]} h e_{i // 2 + 1}"
 
     # every probe reports its own overflow, and the estimate is checked as a whole
     with np.errstate(over="ignore", invalid="ignore"):
+        outputs = _probe_outputs(model, vec, rows, values, labels, counter)
         if cfg.scheme == "forward":
-            base = _probe_output(model, vec, counter, "base point")
-            pairs = [(probe(j, high[j], "+"), base) for j in range(model.input_dim)]
+            estimate = (outputs[:, 1:] - outputs[:, :1]) / spacing
         else:
-            pairs = [(probe(j, high[j], "+"), probe(j, low[j], "-")) for j in range(model.input_dim)]
-        estimate = np.column_stack([(up - down) / step for (up, down), step in zip(pairs, spacing)])
+            estimate = (outputs[:, 0::2] - outputs[:, 1::2]) / spacing
     finite = np.isfinite(estimate)
     if not finite.all():
         column = int(np.flatnonzero(~finite.all(axis=0))[0]) + 1
@@ -108,13 +173,17 @@ def _checked_tolerance(tolerance) -> float:
 def compare_jacobians(a, b, tolerance: float) -> ComparisonResult:
     """Elementwise comparison of two finite matrices against an absolute tolerance (>= 0).
 
-    Raises :class:`NonFiniteError` naming the argument (``a`` or ``b``)
-    that holds a NaN or an infinity: no difference to it is meaningful.
+    Raises :class:`DimensionMismatchError` naming the shapes when they
+    differ or hold no entries, and :class:`NonFiniteError` naming the
+    argument (``a`` or ``b``) that holds a NaN or an infinity: no
+    difference to it is meaningful.
     """
     mat_a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     mat_b = np.atleast_2d(np.asarray(b, dtype=np.float64))
     if mat_a.shape != mat_b.shape:
         raise DimensionMismatchError(f"shape mismatch: {mat_a.shape} vs {mat_b.shape}")
+    if mat_a.size == 0:
+        raise DimensionMismatchError(f"matrices of shape {mat_a.shape} have no entries to compare")
     tol = _checked_tolerance(tolerance)
     for name, matrix in (("a", mat_a), ("b", mat_b)):
         if not np.isfinite(matrix).all():

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activations import ActivationSpec, _as_finite_vector, activation_apply
+from .activations import ActivationSpec, _apply_columns, _as_finite_vector, activation_apply
 from .errors import DimensionMismatchError, ModelValidationError, NonFiniteError
 from .instrumentation import EvalCounter
 
@@ -202,26 +202,34 @@ def _layer_values(model: LayeredModel, vec: np.ndarray, counter: EvalCounter | N
     """The value pass, one layer at a time: yields (net_layer, layer, z, a).
 
     The only place that computes z = W a and the activation, for forward,
-    the finite-difference probes and the Jacobian pass alike. It is lazy,
-    so a consumer's own error at layer l (a relu kink under ``reject``)
-    still comes before anything at layer l+1. Each z and a is checked
-    once; errors name network layers (2..L), overflow included, so the
-    consumer reads it under ``np.errstate(over="ignore", invalid="ignore")``.
-    Assumes the model already validated and ``vec`` checked.
+    the finite-difference probes and the Jacobian pass alike. ``vec`` is
+    one instance, or an (m, k) matrix of k instances as columns (the
+    finite-difference probes, in bounded blocks): a folded bias then meets
+    a row of ones and softmax is taken column by column, and ``counter``
+    counts k evaluations. On a vector the pass is what it is for one
+    instance, bit for bit. It is lazy, so a consumer's own error at layer l
+    (a relu kink under ``reject``) still comes before anything at layer
+    l+1. Each z and a is checked once, as a whole; errors name network
+    layers (2..L), overflow included, so the consumer reads it under
+    ``np.errstate(over="ignore", invalid="ignore")``. Assumes the model
+    already validated and ``vec`` checked.
     """
+    columns = 1 if vec.ndim == 1 else vec.shape[1]
+    # a vector goes through the public activation_apply, whose calls perfbench's tracer counts
+    apply = activation_apply if vec.ndim == 1 else _apply_columns
     if counter is not None:
-        counter.count_model_eval()
+        counter.count_model_eval(columns)
     a = vec
     for net_layer, layer in enumerate(model.layers, start=2):
-        src = np.append(a, 1.0) if layer.bias_folded else a
+        src = np.concatenate((a, np.ones((1, *a.shape[1:])))) if layer.bias_folded else a
         z = layer.weights @ src
         if counter is not None:
-            counter.count_weighted_input()
+            counter.count_weighted_input(columns)
         try:
-            a = activation_apply(layer.activation, z)  # checks z
+            a = apply(layer.activation, z)  # checks z
         except NonFiniteError:
             raise NonFiniteError(f"non-finite weighted input at layer {net_layer}") from None
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise NonFiniteError(f"non-finite activation at layer {net_layer}")
         yield net_layer, layer, z, a
 

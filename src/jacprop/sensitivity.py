@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError
+from .errors import DimensionMismatchError, NonFiniteError
 from .model import _freeze
 
 
@@ -39,8 +39,14 @@ def _rank(scores: np.ndarray) -> tuple[int, ...]:
 
 
 def build_report(jacobian, same_unit: bool = False) -> SensitivityReport:
-    """Column/row Euclidean norms of the Jacobian plus deterministic rankings."""
+    """Column/row Euclidean norms of the Jacobian plus deterministic rankings.
+
+    Raises :class:`DimensionMismatchError` for a matrix with no entries and
+    :class:`NonFiniteError` for one with a NaN or an infinity.
+    """
     matrix = np.atleast_2d(np.asarray(jacobian, dtype=np.float64))
+    if matrix.size == 0:
+        raise DimensionMismatchError(f"jacobian of shape {matrix.shape} has no entries to rank")
     if not np.all(np.isfinite(matrix)):
         raise NonFiniteError("jacobian contains non-finite entries")
     feature_scores = np.linalg.norm(matrix, axis=0)

@@ -59,6 +59,16 @@ def random_smooth_model(seed, softmax_last="maybe", min_depth=2, max_depth=5):
     return model, x
 
 
+def sweep_model(seed):
+    """Depth 1-5, widths 1-8, every kind (softmax anywhere), some folded biases; plus an input."""
+    rng = np.random.default_rng(seed)
+    depth = int(rng.integers(1, 6))
+    widths = [int(w) for w in rng.integers(1, 9, size=depth + 1)]
+    kinds = [(*ALL_ELEMENTWISE, "softmax")[int(k)] for k in rng.integers(0, 7, size=depth)]
+    biased = tuple(pos for pos in range(1, depth + 1) if rng.random() < 0.3)
+    return seeded_model(seed, widths, kinds, biased=biased), rng.uniform(-1.0, 1.0, size=widths[0])
+
+
 def spec_seed7_model():
     """The 4->5->5->3 tanh/tanh/softmax model with seed-7 weights."""
     model = seeded_model(7, (4, 5, 5, 3), ("tanh", "tanh", "softmax"))

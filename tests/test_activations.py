@@ -13,6 +13,7 @@ from jacprop import (
     activation_apply,
     activation_jacobian,
     elementwise_derivative,
+    softmax,
     softmax_jacobian,
 )
 from helpers import fd_activation_jacobian, make_spec
@@ -140,6 +141,13 @@ class TestSoftmaxProperties:
         base = activation_apply(ActivationSpec("softmax"), z)
         shifted = activation_apply(ActivationSpec("softmax"), np.asarray(z) + c)
         assert np.max(np.abs(base - shifted)) <= 1e-12
+
+    def test_matrix_is_taken_column_by_column(self):
+        # the value pass gives softmax the probes as columns; 1000 apart, a shared shift would underflow
+        z = np.array([[0.0, 1000.0, -3.0], [1.0, 1001.0, 2.0], [-2.0, 999.0, 0.5]])
+        values = softmax(z)
+        for column in range(3):
+            assert values[:, column].tobytes() == softmax(z[:, column]).tobytes(), column
 
 
 class TestZeroPolicies:

@@ -25,7 +25,7 @@ from jacprop import (
     suffix_model,
 )
 from jacprop.engine import _output_first
-from helpers import ALL_ELEMENTWISE, random_smooth_model, seeded_model, spec_seed7_model
+from helpers import random_smooth_model, seeded_model, spec_seed7_model, sweep_model
 
 
 def _identity_model(matrices, input_dim):
@@ -56,16 +56,6 @@ def _input_to_output(model, x):
         jac = apply(linear) @ jac if linear.shape[0] <= linear.shape[1] else apply(linear @ jac)
         prefixes.append(jac)
     return prefixes
-
-
-def _sweep_model(seed):
-    """Depth 1-5, widths 1-8, every kind (softmax anywhere), some folded biases; plus an input."""
-    rng = np.random.default_rng(seed)
-    depth = int(rng.integers(1, 6))
-    widths = [int(w) for w in rng.integers(1, 9, size=depth + 1)]
-    kinds = [(*ALL_ELEMENTWISE, "softmax")[int(k)] for k in rng.integers(0, 7, size=depth)]
-    biased = tuple(pos for pos in range(1, depth + 1) if rng.random() < 0.3)
-    return seeded_model(seed, widths, kinds, biased=biased), rng.uniform(-1.0, 1.0, size=widths[0])
 
 
 def _overflowing_prefix_model():
@@ -397,7 +387,7 @@ class TestPlan:
     def test_input_first_product_is_the_last_prefix(self):
         checked = 0
         for seed in range(400):
-            model, x = _sweep_model(seed)
+            model, x = sweep_model(seed)
             widths = (model.input_dim, *(layer.output_dim for layer in model.layers))
             if model.layer_count > 2 and _output_first(widths):
                 continue
@@ -416,7 +406,7 @@ class TestPlan:
 
     def test_prefixes_are_the_input_to_output_products(self):
         for seed in range(400):
-            model, x = _sweep_model(seed)
+            model, x = sweep_model(seed)
             trace = jacobian_forward(model, x)
             expected = _input_to_output(model, x)
             for index in range(model.layer_count - 1):

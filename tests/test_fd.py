@@ -11,9 +11,44 @@ from jacprop import (
     NonFiniteError,
     compare_jacobians,
     finite_difference_jacobian,
+    forward,
     jacobian_forward,
 )
-from helpers import random_smooth_model, seeded_model
+from jacprop import fd
+from helpers import random_smooth_model, seeded_model, spec_seed7_model, sweep_model
+
+
+# How far two estimates at h = 1e-5 may differ, scaled by 1 + max|J|, when their probes went through
+# the value pass in blocks of different widths (a one-column block is a vector pass). BLAS picks its
+# kernel by the block's shape, and F moves by a few ulps between kernels; the estimate divides
+# that by the spacing, 2h (central) or h (forward). A misplaced probe moves it by the order of |J|.
+_ROUNDING = {"central": 1e-10, "forward": 2e-10}
+
+
+def _one_probe_at_a_time(model, x, step, scheme):
+    """The estimate from one forward pass per probe, each probe a vector of its own."""
+    x = np.asarray(x, dtype=np.float64)
+    base = forward(model, x)[-1]
+    columns = []
+    for j in range(x.shape[0]):
+        high, low = x.copy(), x.copy()
+        high[j] += step
+        if scheme == "central":
+            low[j] -= step
+        down = forward(model, low)[-1] if scheme == "central" else base
+        columns.append((forward(model, high)[-1] - down) / (high[j] - low[j]))
+    return np.column_stack(columns)
+
+
+def _overflowing_probes_model():
+    """3->2->1 relu/identity at (0, 0, 1) with h = 1: x - h e_2 overflows at layer 3, x + h e_3 at layer 2."""
+    return LayeredModel(
+        layers=(
+            LayerDef(weights=np.array([[0.0, 0.0, 1e308], [0.0, -1e308, 0.0]]), activation=ActivationSpec("relu")),
+            LayerDef(weights=np.array([[0.0, 10.0]]), activation=ActivationSpec("identity")),
+        ),
+        input_dim=3,
+    )
 
 
 def _single_layer(weights, kind):
@@ -64,6 +99,110 @@ class TestEstimator:
             assert 3.0 <= err_coarse / err_fine <= 5.0, seed
 
 
+class TestBatchedProbes:
+    """The probes run as the columns of blocks of the one value pass."""
+
+    @pytest.mark.parametrize("scheme", ["central", "forward"])
+    def test_estimate_agrees_with_one_probe_at_a_time(self, scheme):
+        # the models of acceptance criterion 1 (softmax last in about half), then every kind,
+        # softmax anywhere and folded biases
+        tolerance = _ROUNDING[scheme]
+        cases = [random_smooth_model(seed) for seed in range(200)] + [sweep_model(seed) for seed in range(400)]
+        for index, (model, x) in enumerate(cases):
+            expected = _one_probe_at_a_time(model, x, 1e-5, scheme)
+            estimate = finite_difference_jacobian(model, x, FDConfig(step=1e-5, scheme=scheme))
+            scale = 1.0 + np.max(np.abs(expected))
+            assert np.max(np.abs(estimate - expected)) <= tolerance * scale, index
+
+    def test_vector_pass_keeps_its_bits(self):
+        # pinned from the value pass before it took matrices: seed-7, and leaky_relu/softmax with folded biases
+        model, x = spec_seed7_model()
+        assert [v.hex() for v in forward(model, x)[-1].tolist()] == [
+            "0x1.44241c9ad7c2bp-2", "0x1.9f2b5ef989729p-2", "0x1.1cb0846b9ecabp-2",
+        ]
+        assert [v.hex() for v in jacobian_forward(model, x).full.ravel().tolist()] == [
+            "-0x1.075154eaf4b98p-4", "-0x1.e232b0b349009p-5", "0x1.370f1cabe0b68p-4", "0x1.09e09ee89aacfp-3",
+            "0x1.3c0f878b633b4p-2", "0x1.414011021910ap-3", "-0x1.8a10f437383fbp-4", "-0x1.b85eafceeaeabp-3",
+            "-0x1.f47664a14c19ap-3", "-0x1.9166c9aa8da0ep-4", "0x1.4c075e2d5e245p-6", "0x1.5cfc21cca07b5p-4",
+        ]
+        biased = seeded_model(3, (3, 4, 2), ("leaky_relu", "softmax"), biased=(1, 2))
+        x = [0.5, -0.25, 1.0]
+        assert [v.hex() for v in forward(biased, x)[-1].tolist()] == ["0x1.967a7f2f08595p-1", "0x1.a6160343de9aap-3"]
+        assert [v.hex() for v in jacobian_forward(biased, x).full.ravel().tolist()] == [
+            "-0x1.81e916bf7e562p-4", "-0x1.953b79183ce8fp-5", "0x1.0be4d3f6ac692p-3",
+            "0x1.81e916bf7e562p-4", "0x1.953b79183ce8fp-5", "-0x1.0be4d3f6ac692p-3",
+        ]
+
+    def test_first_overflowing_probe_is_named_before_an_earlier_layer(self):
+        # the block overflows at layer 2 (x + h e_3), but x - h e_2 comes first and overflows at layer 3
+        counter = EvalCounter()
+        message = r"^non-finite model output at probe x - h e_2: non-finite weighted input at layer 3$"
+        with pytest.raises(NonFiniteError, match=message):
+            finite_difference_jacobian(_overflowing_probes_model(), [0.0, 0.0, 1.0], FDConfig(step=1.0), counter=counter)
+        # x +- h e_1 and x + h e_2 through both layers, then x - h e_2 through layers 2 and 3
+        assert (counter.model_evals, counter.weighted_input_evals) == (4, 8)
+        counter.reset()
+        with pytest.raises(NonFiniteError, match=r"^non-finite model output at probe x \+ h e_3: .* at layer 2$"):
+            finite_difference_jacobian(
+                _overflowing_probes_model(), [0.0, 0.0, 1.0], FDConfig(step=1.0, scheme="forward"), counter=counter
+            )
+        assert (counter.model_evals, counter.weighted_input_evals) == (4, 7)
+
+    def test_block_that_overflows_only_as_a_block_uses_its_probes(self, monkeypatch):
+        # a block's rounding may overflow where no single probe does; its probes, one at a time, then
+        # give its columns, and are counted as such
+        def matrix_overflows(model, vec, counter=None):
+            if vec.ndim == 2:
+                raise NonFiniteError("non-finite weighted input at layer 2")
+            return layer_values(model, vec, counter)
+
+        layer_values = fd._layer_values
+        monkeypatch.setattr(fd, "_layer_values", matrix_overflows)
+        model, x = spec_seed7_model()
+        for scheme in ("central", "forward"):
+            counter = EvalCounter()
+            estimate = finite_difference_jacobian(model, x, FDConfig(scheme=scheme), counter=counter)
+            assert estimate.tobytes() == _one_probe_at_a_time(model, x, 1e-5, scheme).tobytes()
+            evaluations = 8 if scheme == "central" else 5
+            assert (counter.model_evals, counter.weighted_input_evals) == (evaluations, 3 * evaluations)
+
+    def _wide_model(self):
+        """16->3->2 tanh with a bias on layer 1; 16 inputs need 32 central probes."""
+        return seeded_model(16, (16, 3, 2), ("tanh", "tanh"), biased=(1,)), np.linspace(-1.0, 1.0, 16)
+
+    @pytest.mark.parametrize("scheme", ["central", "forward"])
+    def test_block_seams_keep_the_estimate(self, monkeypatch, scheme):
+        model, x = self._wide_model()
+        one_block = finite_difference_jacobian(model, x, FDConfig(scheme=scheme))
+        tolerance = _ROUNDING[scheme] * (1.0 + np.max(np.abs(one_block)))
+        for columns in (1, 5, 7):
+            # one column costs 8 bytes for each input, z and a: (17 + 3 + 3) + (3 + 2 + 2)
+            monkeypatch.setattr(fd, "_BLOCK_BYTES", 8 * 30 * columns)
+            assert fd._block_columns(model) == columns
+            counter = EvalCounter()
+            blocks = finite_difference_jacobian(model, x, FDConfig(scheme=scheme), counter=counter)
+            assert np.max(np.abs(blocks - one_block)) <= tolerance, columns
+            evaluations = 32 if scheme == "central" else 17
+            assert (counter.model_evals, counter.weighted_input_evals) == (evaluations, 2 * evaluations)
+
+    def test_failure_in_a_later_block_names_the_same_probe(self, monkeypatch):
+        # 16->1 identity at x_4 = 1, h = 1: x + h e_4, the 7th probe, overflows; blocks of 5 put it in the second
+        weights = np.full((1, 16), 0.5)
+        weights[0, 3] = 1e308
+        model = _single_layer(weights, "identity")
+        x = np.zeros(16)
+        x[3] = 1.0
+        message = r"^non-finite model output at probe x \+ h e_4: non-finite weighted input at layer 2$"
+        for columns in (5, 64):
+            monkeypatch.setattr(fd, "_BLOCK_BYTES", 8 * 18 * columns)
+            assert fd._block_columns(model) == columns
+            counter = EvalCounter()
+            with pytest.raises(NonFiniteError, match=message):
+                finite_difference_jacobian(model, x, FDConfig(step=1.0), counter=counter)
+            # the probes one at a time up to and including the failing one
+            assert (counter.model_evals, counter.weighted_input_evals) == (7, 7), columns
+
+
 class TestEvaluationCounts:
     @pytest.mark.parametrize("m", [1, 4, 16])
     def test_forward_scheme_makes_m_plus_1_evaluations(self, m):
@@ -108,6 +247,11 @@ class TestCompare:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             compare_jacobians(np.zeros((2, 2)), np.zeros((2, 3)), tolerance=1.0)
+
+    @pytest.mark.parametrize("a,shape", [([], r"\(1, 0\)"), (np.zeros((0, 3)), r"\(0, 3\)"), (np.zeros((3, 0)), r"\(3, 0\)")])
+    def test_empty_matrices_rejected(self, a, shape):
+        with pytest.raises(DimensionMismatchError, match=f"^matrices of shape {shape} have no entries to compare$"):
+            compare_jacobians(a, np.array(a), tolerance=1.0)
 
     def test_boundary_is_inclusive(self):
         result = compare_jacobians([[0.0]], [[0.5]], tolerance=0.5)
@@ -157,8 +301,10 @@ class TestConfigAndErrors:
     def test_non_finite_estimate_is_named(self):
         # both probe outputs (+-1.7e308) are finite; their difference is not
         model = _single_layer(np.array([[1.7e308]]), "identity")
+        counter = EvalCounter()
         with pytest.raises(NonFiniteError, match="^non-finite finite-difference estimate in column 1$"):
-            finite_difference_jacobian(model, [0.0], FDConfig(step=1.0, scheme="central"))
+            finite_difference_jacobian(model, [0.0], FDConfig(step=1.0, scheme="central"), counter=counter)
+        assert (counter.model_evals, counter.weighted_input_evals) == (2, 2)
         wide = _single_layer(np.array([[1.0, 1.7e308]]), "identity")
         with pytest.raises(NonFiniteError, match="^non-finite finite-difference estimate in column 2$"):
             finite_difference_jacobian(wide, [0.0, 0.0], FDConfig(step=1.0, scheme="central"))
@@ -188,3 +334,8 @@ class TestConfigAndErrors:
         model = _single_layer(np.array([[1e308]]), "identity")
         with pytest.raises(NonFiniteError, match="probe"):
             finite_difference_jacobian(model, [1.79], FDConfig(step=0.02, scheme="central"))
+        # tanh(inf) is 1: the weighted input itself must be checked
+        saturating = _single_layer(np.array([[1e308]]), "tanh")
+        message = r"^non-finite model output at probe x \+ h e_1: non-finite weighted input at layer 2$"
+        with pytest.raises(NonFiniteError, match=message):
+            finite_difference_jacobian(saturating, [1.79], FDConfig(step=0.02, scheme="central"))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from jacprop import NonFiniteError, build_report, emit_matrix, jacobian_forward, top_k
+from jacprop import DimensionMismatchError, NonFiniteError, build_report, emit_matrix, jacobian_forward, top_k
 from helpers import spec_seed7_model
 
 
@@ -55,6 +55,11 @@ class TestBuildReport:
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteError):
             build_report([[np.nan]])
+
+    @pytest.mark.parametrize("matrix,shape", [(np.zeros((0, 3)), r"\(0, 3\)"), (np.zeros((2, 0)), r"\(2, 0\)"), ([], r"\(1, 0\)")])
+    def test_empty_matrix_rejected(self, matrix, shape):
+        with pytest.raises(DimensionMismatchError, match=f"^jacobian of shape {shape} has no entries to rank$"):
+            build_report(matrix)
 
     def test_same_unit_recorded(self):
         assert build_report([[1.0]]).same_unit is False
