@@ -110,7 +110,7 @@ def _logistic(z: np.ndarray) -> np.ndarray:
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    """softmax of a vector; the value pass also gives it a matrix, taken column by column."""
+    """softmax of a vector; a matrix is taken column by column."""
     if np.size(z) < 1:
         raise ValueError("softmax requires a vector of length >= 1")
     shifted = np.exp(z - np.max(z, axis=0))
@@ -133,6 +133,12 @@ def _kinked_slope(spec: ActivationSpec, z: np.ndarray, a: np.ndarray) -> tuple[n
     return deriv, hits
 
 
+def _leaky_relu(spec: ActivationSpec, z: np.ndarray) -> np.ndarray:
+    # alpha * z may overflow where the slope is finite: the value is then -inf, which activation_apply refuses
+    with np.errstate(over="ignore"):
+        return z * np.where(z > 0.0, 1.0, spec.alpha)
+
+
 # kind -> (value(spec, z), slope(spec, z, a) -> (diagonal, singular coordinates));
 # softmax has no diagonal slope, see softmax_jacobian
 _TABLE = {
@@ -142,21 +148,25 @@ _TABLE = {
     # z + log1p(exp(-z)) for positive z, log1p(exp(z)) otherwise
     "softplus": (lambda spec, z: np.logaddexp(0.0, z), lambda spec, z, a: (_logistic(z), [])),
     "relu": (lambda spec, z: np.maximum(z, 0.0), _kinked_slope),
-    "leaky_relu": (lambda spec, z: np.where(z > 0.0, z, spec.alpha * z), _kinked_slope),
+    "leaky_relu": (_leaky_relu, _kinked_slope),
     "softmax": (lambda spec, z: softmax(z), None),
 }
 
 
 def activation_apply(spec: ActivationSpec, z) -> np.ndarray:
-    """Apply the activation to a weighted-input vector."""
-    return _TABLE[spec.kind][0](spec, _as_finite_vector(z, "activation input"))
+    """Apply the activation to a weighted-input vector, or to each column of an (n, k) matrix of them.
 
-
-def _apply_columns(spec: ActivationSpec, z: np.ndarray) -> np.ndarray:
-    """:func:`activation_apply` to each column of a weighted-input matrix, checked as a whole."""
-    if not np.isfinite(z).all():
+    Raises :class:`NonFiniteError` when z or the value has a non-finite entry.
+    """
+    arr = np.asarray(z, dtype=np.float64)
+    if arr.ndim not in (1, 2):
+        raise ValueError(f"activation input must be a vector or a matrix of columns, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
         raise NonFiniteError("activation input contains non-finite entries")
-    return _TABLE[spec.kind][0](spec, z)
+    value = _TABLE[spec.kind][0](spec, arr)
+    if not np.isfinite(value).all():
+        raise NonFiniteError("activation value contains non-finite entries")
+    return value
 
 
 def _slope(spec: ActivationSpec, z: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, list[int]]:

@@ -14,13 +14,19 @@ The values z[l] and a[l] come from the model's own lazy value pass (the
 one ``forward`` and the finite-difference probes read). Each layer's
 slope is taken as its layer arrives, so a relu kink under ``reject``
 stops the pass before the next layer is evaluated. A factor is kept as
-its slope and its weights and is never multiplied out in the chain: it
-is applied to a dense matrix C as D W C = d * (W C) or C D W = (C * d) W.
+its slope and its weights. Only the factor a fold starts from is
+multiplied out; every other one is applied to a dense matrix C as
+D W C = d * (W C) or C D W = (C * d) W (S (W C) or (C S) W for softmax).
 
 The prefix Jacobians J[l], one per layer, are the Jacobians of the model
 prefix ending at layer l:
 
     J[1] = I_m,  J[2] = F[2],  J[l] = F[l] J[l-1]  for l = 3..L,  J[L] = J
+
+J[2] is F[2] multiplied out, plus 0 (what the product with I_m gives: a
+-0 entry becomes +0). Every later prefix is J_sigma[l] (W[l] J[l-1]):
+the weights meet the prefix first, then its rows are scaled, the forward
+accumulation of the chain rule, whatever the layer's shape.
 
 Once every factor is in, the chain is multiplied from whichever end
 costs fewer multiplications (``_output_first``); both give the same
@@ -46,7 +52,10 @@ from .model import LayeredModel, _checked_input, _checked_layer, _freeze, _layer
 
 
 class _Factor:
-    """One layer's F = J_sigma W, kept as its slope (diagonal d or softmax S) and its weights W."""
+    """One layer's F = J_sigma W, kept as its slope (diagonal d or softmax S) and its weights W.
+
+    J[2] is ``first()``, F multiplied out; every later J[l] is ``dot(J[l-1])``, weights first.
+    """
 
     __slots__ = ("slope", "linear", "diagonal")
 
@@ -68,16 +77,8 @@ class _Factor:
         """C F, as (C * d) W or (C S) W."""
         return (c * self.slope if self.diagonal else c @ self.slope) @ self.linear
 
-    def extend(self, jac: np.ndarray) -> np.ndarray:
-        """J[l] = F[l] J[l-1], associated the cheaper way for this factor's shape."""
-        rows, cols = self.linear.shape
-        return self.dense() @ jac if rows <= cols else self.dot(jac)
-
     def first(self) -> np.ndarray:
-        """J[2] = extend(I_m) without the identity: C I_m is C + 0, which only turns -0 into +0."""
-        rows, cols = self.linear.shape
-        if rows > cols:
-            return _Factor(self.slope, self.linear + 0.0).dense()
+        """J[2] = F I_m without the identity: F I_m is F + 0, which only turns -0 into +0."""
         jac = self.dense()
         jac += 0.0
         return jac
@@ -89,8 +90,10 @@ def _output_first(widths: Sequence[int]) -> bool:
     Each fold costs the multiplications of its matrix products: applying
     F[L-1], ..., F[2] to the n[L] rows of F[L] costs n[L] * sum(n[l] n[l-1],
     l = 2..L-1); applying F[3], ..., F[L] to the n[1] columns of J[2] costs
-    n[1] * sum(n[l] n[l-1], l = 3..L). The cheaper fold wins; ties go to
-    the output end.
+    n[1] * sum(n[l] n[l-1], l = 3..L). These are the weight products each
+    fold runs (``rdot`` and ``dot``); the slopes' row or column scalings and
+    multiplying out the first factor are left out. The cheaper fold wins;
+    ties go to the output end.
     """
     sizes = [rows * cols for rows, cols in zip(widths[1:], widths)]
     return widths[-1] * sum(sizes[:-1]) <= widths[0] * sum(sizes[1:])
@@ -114,7 +117,7 @@ def _extend_prefixes(factors: tuple[_Factor, ...], built: list[np.ndarray]) -> l
     """
     for net_layer in range(len(built) + 2, len(factors) + 2):
         factor = factors[net_layer - 2]
-        jac = factor.extend(built[-1]) if built else factor.first()
+        jac = factor.dot(built[-1]) if built else factor.first()
         if not _finite(jac):
             raise NonFiniteError(f"non-finite Jacobian entries at layer {net_layer}")
         built.append(_freeze(jac))

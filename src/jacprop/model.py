@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activations import ActivationSpec, _apply_columns, _as_finite_vector, activation_apply
+from .activations import ActivationSpec, _as_finite_vector, activation_apply
 from .errors import DimensionMismatchError, ModelValidationError, NonFiniteError
 from .instrumentation import EvalCounter
 
@@ -209,14 +209,12 @@ def _layer_values(model: LayeredModel, vec: np.ndarray, counter: EvalCounter | N
     counts k evaluations. On a vector the pass is what it is for one
     instance, bit for bit. It is lazy, so a consumer's own error at layer l
     (a relu kink under ``reject``) still comes before anything at layer
-    l+1. Each z and a is checked once, as a whole; errors name network
-    layers (2..L), overflow included, so the consumer reads it under
-    ``np.errstate(over="ignore", invalid="ignore")``. Assumes the model
-    already validated and ``vec`` checked.
+    l+1. Each z and a is checked once, as a whole, by ``activation_apply``;
+    errors name network layers (2..L), overflow included, so the consumer
+    reads it under ``np.errstate(over="ignore", invalid="ignore")``.
+    Assumes the model already validated and ``vec`` checked.
     """
     columns = 1 if vec.ndim == 1 else vec.shape[1]
-    # a vector goes through the public activation_apply, whose calls perfbench's tracer counts
-    apply = activation_apply if vec.ndim == 1 else _apply_columns
     if counter is not None:
         counter.count_model_eval(columns)
     a = vec
@@ -226,11 +224,10 @@ def _layer_values(model: LayeredModel, vec: np.ndarray, counter: EvalCounter | N
         if counter is not None:
             counter.count_weighted_input(columns)
         try:
-            a = apply(layer.activation, z)  # checks z
+            a = activation_apply(layer.activation, z)  # checks z and a
         except NonFiniteError:
-            raise NonFiniteError(f"non-finite weighted input at layer {net_layer}") from None
-        if not np.isfinite(a).all():
-            raise NonFiniteError(f"non-finite activation at layer {net_layer}")
+            what = "activation" if np.isfinite(z).all() else "weighted input"
+            raise NonFiniteError(f"non-finite {what} at layer {net_layer}") from None
         yield net_layer, layer, z, a
 
 

@@ -159,8 +159,14 @@ def _format_entry(value: float) -> str:
 
 
 def emit_matrix(matrix, header: list[str] | None = None) -> str:
-    """Format a matrix (or vector, as one row) as CSV text, %.17g entries."""
-    mat = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
+    """Format a matrix (or vector, as one row) as CSV text, %.17g entries.
+
+    Raises :class:`DimensionMismatchError` naming the shape of a matrix with no entries.
+    """
+    mat = np.asarray(matrix, dtype=np.float64)
+    if mat.size == 0:
+        raise DimensionMismatchError(f"matrix of shape {mat.shape} has no entries to write")
+    mat = np.atleast_2d(mat)
     if not np.all(np.isfinite(mat)):
         raise NonFiniteError("matrix contains non-finite entries")
     lines = []

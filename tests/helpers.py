@@ -42,6 +42,12 @@ def seeded_model(seed, widths, kinds, biased=()):
     return LayeredModel(layers=tuple(layers), input_dim=int(widths[0]))
 
 
+def overflowing_activation_model():
+    """One leaky_relu layer, weight 1 and alpha 1e300: at x = -1e10 the weighted input is finite, alpha z is not."""
+    layer = LayerDef(weights=np.ones((1, 1)), activation=ActivationSpec("leaky_relu", alpha=1e300))
+    return LayeredModel(layers=(layer,), input_dim=1)
+
+
 def random_smooth_model(seed, softmax_last="maybe", min_depth=2, max_depth=5):
     """Random model per the oracle-equivalence recipe, plus a random input.
 

@@ -57,6 +57,24 @@ class TestApply:
         with pytest.raises(NonFiniteError):
             activation_apply(ActivationSpec("tanh"), [np.inf])
 
+    def test_leaky_relu_value_overflows_only_where_it_is_not_finite(self):
+        # alpha z is never formed for a positive z, and no numpy warning escapes either way
+        assert activation_apply(ActivationSpec("leaky_relu", alpha=10.0), [1e308]).tolist() == [1e308]
+        with pytest.raises(NonFiniteError, match="^activation value contains non-finite entries$"):
+            activation_apply(ActivationSpec("leaky_relu", alpha=1e300), [-1e10])
+
+    def test_matrix_is_applied_column_by_column(self):
+        z = np.random.default_rng(5).uniform(-3.0, 3.0, size=(4, 6))
+        z[0, 0], z[1, 1] = 0.0, -0.0
+        for kind in sorted(KINDS):
+            values = activation_apply(make_spec(kind), z)
+            for column in range(6):
+                assert values[:, column].tobytes() == activation_apply(make_spec(kind), z[:, column]).tobytes(), kind
+        with pytest.raises(NonFiniteError, match="^activation input contains non-finite entries$"):
+            activation_apply(ActivationSpec("tanh"), np.array([[0.0, np.nan]]))
+        with pytest.raises(ValueError, match="^activation input must be a vector or a matrix of columns"):
+            activation_apply(ActivationSpec("tanh"), np.zeros((1, 1, 1)))
+
 
 class TestJacobian:
     def test_identity_is_identity_matrix(self):
@@ -77,6 +95,12 @@ class TestJacobian:
         result = activation_jacobian(spec, [-1.0, 2.0, 0.0])
         assert np.array_equal(result.matrix, np.diag([0.0, 1.0, 0.0]))
         assert result.singular_hit is True
+
+    def test_leaky_relu_slope_is_finite_where_its_value_overflows(self):
+        spec = ActivationSpec("leaky_relu", alpha=1e300)
+        deriv, hits = elementwise_derivative(spec, [-1e10])
+        assert (deriv.tolist(), hits) == ([1e300], [])
+        assert activation_jacobian(spec, [-1e10]).matrix.tolist() == [[1e300]]
 
     def test_tanh_matches_central_differences(self):
         spec = ActivationSpec("tanh")

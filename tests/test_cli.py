@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from jacprop import parse_matrix, save_model
-from helpers import seeded_model
+from helpers import overflowing_activation_model, seeded_model
 
 MINIMAL = '{"schema_version": "1", "input_dim": 2, "layers": [{"weights": [[1, 2]], "activation": {"kind": "identity"}}]}'
 INVALID = '{"schema_version": "1", "input_dim": 2, "layers": [{"weights": [[1, 2, 3]], "activation": {"kind": "identity"}}]}'
@@ -88,6 +88,14 @@ class TestForward:
     def test_json_format(self, models):
         result = run_cli("forward", "--model", models["minimal"], "--input", "1,1", "--format", "json")
         assert json.loads(result.stdout) == {"output": [3.0]}
+
+    def test_non_finite_activation_is_an_error(self, tmp_path):
+        path = tmp_path / "leaky.json"
+        path.write_text(save_model(overflowing_activation_model()))
+        for command in ("forward", "check"):
+            result = run_cli(command, "--model", str(path), "--input=-1e10")
+            expected = (1, "", "error: non-finite activation at layer 2\n")
+            assert (result.returncode, result.stdout, result.stderr) == expected, command
 
 
 class TestJacobian:

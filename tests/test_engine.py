@@ -25,7 +25,7 @@ from jacprop import (
     suffix_model,
 )
 from jacprop.engine import _output_first
-from helpers import random_smooth_model, seeded_model, spec_seed7_model, sweep_model
+from helpers import overflowing_activation_model, random_smooth_model, seeded_model, spec_seed7_model, sweep_model
 
 
 def _identity_model(matrices, input_dim):
@@ -38,9 +38,9 @@ def _identity_model(matrices, input_dim):
 def _input_to_output(model, x):
     """J[1..L] multiplied input-to-output from J[1] = I_m, as the one-pass engine always has.
 
-    Each step applies the activation Jacobian (a row scaling for
-    elementwise kinds) to the factor first when the layer does not
-    widen, J[l] = (J_sigma W) J[l-1], otherwise J_sigma (W J[l-1]).
+    The first step applies the activation Jacobian (a row scaling for
+    elementwise kinds) to the factor first, J[2] = (J_sigma W) J[1]; every
+    later step applies the weights first, J[l] = J_sigma (W J[l-1]).
     """
     jac = np.eye(model.input_dim)
     prefixes = [jac]
@@ -53,7 +53,7 @@ def _input_to_output(model, x):
         def apply(matrix):
             return sigma @ matrix if softmax else rows * matrix
 
-        jac = apply(linear) @ jac if linear.shape[0] <= linear.shape[1] else apply(linear @ jac)
+        jac = apply(linear) @ jac if len(prefixes) == 1 else apply(linear @ jac)
         prefixes.append(jac)
     return prefixes
 
@@ -297,6 +297,11 @@ class TestErrors:
         trace = jacobian_forward(model, x)
         with pytest.raises(ValueError):
             trace.full[0, 0] = 1.0
+
+    def test_non_finite_activation_names_its_layer(self):
+        for run in (forward, jacobian_forward):
+            with pytest.raises(NonFiniteError, match="^non-finite activation at layer 2$"):
+                run(overflowing_activation_model(), [-1e10])
 
 
 class TestOracleSweep:

@@ -15,7 +15,7 @@ from jacprop import (
     jacobian_forward,
 )
 from jacprop import fd
-from helpers import random_smooth_model, seeded_model, spec_seed7_model, sweep_model
+from helpers import overflowing_activation_model, random_smooth_model, seeded_model, spec_seed7_model, sweep_model
 
 
 # How far two estimates at h = 1e-5 may differ, scaled by 1 + max|J|, when their probes went through
@@ -339,3 +339,9 @@ class TestConfigAndErrors:
         message = r"^non-finite model output at probe x \+ h e_1: non-finite weighted input at layer 2$"
         with pytest.raises(NonFiniteError, match=message):
             finite_difference_jacobian(saturating, [1.79], FDConfig(step=0.02, scheme="central"))
+
+    def test_non_finite_activation_of_a_probe_is_named(self):
+        for scheme, probe in (("central", r"x \+ h e_1"), ("forward", "base point")):
+            message = rf"^non-finite model output at probe {probe}: non-finite activation at layer 2$"
+            with pytest.raises(NonFiniteError, match=message):
+                finite_difference_jacobian(overflowing_activation_model(), [-1e10], FDConfig(scheme=scheme))

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from jacprop import (
     ActivationSpec,
+    DimensionMismatchError,
     FormatError,
     LayerDef,
     LayeredModel,
@@ -225,6 +226,13 @@ class TestMatrixDump:
 
     def test_matrix_round_trips_trailing_newline(self):
         assert np.array_equal(parse_matrix("1,2\n3,4\n"), [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_emit_rejects_an_empty_matrix(self):
+        # CSV text without entries would not parse back
+        for matrix in ([], np.zeros((2, 0)), np.zeros((0, 3))):
+            with pytest.raises(DimensionMismatchError) as excinfo:
+                emit_matrix(matrix)
+            assert str(excinfo.value) == f"matrix of shape {np.shape(matrix)} has no entries to write"
 
     def test_emit_rejects_non_finite(self):
         with pytest.raises(NonFiniteError):

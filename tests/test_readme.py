@@ -1,8 +1,9 @@
-"""The README's CLI examples, run as written on the README's model document.
+"""The README's CLI and library examples, run as written on the README's model document.
 
 Every `$ jacprop ...` line of the CLI section runs through `python -m
 jacprop` (a trailing `# ...` comment is dropped) and must exit 0 and print
-exactly the lines the README shows under it.
+exactly the lines the README shows under it. The "Library use" block runs
+as a script and must exit 0 without writing to stderr.
 """
 
 import re
@@ -51,3 +52,12 @@ def test_example_output_is_reproduced(tmp_path, command, expected):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "".join(line + "\n" for line in expected)
+
+
+def test_library_example_runs(tmp_path):
+    # the "Library use" block, run as a script next to the README's model document
+    (doc,) = [block for block in _blocks(README, "json") if '"schema_version"' in block]
+    (tmp_path / "net.json").write_text(doc, encoding="utf-8")
+    (code,) = _blocks(README.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0], "python")
+    result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, "")
