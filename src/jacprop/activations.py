@@ -2,10 +2,11 @@
 
 Supported kinds: identity, logistic, tanh, softplus, relu, leaky_relu
 (elementwise) and softmax (multivariate). One table maps every kind to
-its value function and, for elementwise kinds, to its exact slope
-computed from the weighted input z and the stored value a (tanh' = 1-a^2,
-logistic' = a(1-a)), which is what the forward Jacobian pass requires of
-each layer.
+its value function and to its exact Jacobian slope: the diagonal of an
+elementwise kind's Jacobian, computed from the weighted input z and the
+stored value a (tanh' = 1-a^2, logistic' = a(1-a)), or softmax's dense
+matrix. That slope is what the forward Jacobian pass requires of each
+layer.
 
 relu and leaky_relu are not differentiable at exactly 0; the behaviour
 there is controlled by ``relu_zero_policy``:
@@ -113,7 +114,9 @@ def softmax(z: np.ndarray) -> np.ndarray:
     """softmax of a vector; a matrix is taken column by column."""
     if np.size(z) < 1:
         raise ValueError("softmax requires a vector of length >= 1")
-    shifted = np.exp(z - np.max(z, axis=0))
+    # entries more than float64's range below the maximum shift to -inf, and exp(-inf) is their exact 0
+    with np.errstate(over="ignore"):
+        shifted = np.exp(z - np.max(z, axis=0))
     return shifted / np.sum(shifted, axis=0)
 
 
@@ -139,8 +142,8 @@ def _leaky_relu(spec: ActivationSpec, z: np.ndarray) -> np.ndarray:
         return z * np.where(z > 0.0, 1.0, spec.alpha)
 
 
-# kind -> (value(spec, z), slope(spec, z, a) -> (diagonal, singular coordinates));
-# softmax has no diagonal slope, see softmax_jacobian
+# kind -> (value(spec, z), slope(spec, z, a) -> (slope, singular coordinates)), where the slope
+# is the Jacobian's diagonal for elementwise kinds and the dense matrix for softmax
 _TABLE = {
     "identity": (lambda spec, z: z.copy(), lambda spec, z, a: (np.ones_like(z), [])),
     "logistic": (lambda spec, z: _logistic(z), lambda spec, z, a: (a * (1.0 - a), [])),
@@ -149,7 +152,8 @@ _TABLE = {
     "softplus": (lambda spec, z: np.logaddexp(0.0, z), lambda spec, z, a: (_logistic(z), [])),
     "relu": (lambda spec, z: np.maximum(z, 0.0), _kinked_slope),
     "leaky_relu": (_leaky_relu, _kinked_slope),
-    "softmax": (lambda spec, z: softmax(z), None),
+    # softmax_jacobian is looked up at call time, so a wrapper put on the module's name sees the call
+    "softmax": (lambda spec, z: softmax(z), lambda spec, z, a: (softmax_jacobian(z), [])),
 }
 
 
@@ -170,10 +174,12 @@ def activation_apply(spec: ActivationSpec, z) -> np.ndarray:
 
 
 def _slope(spec: ActivationSpec, z: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Diagonal Jacobian and singular coordinates of an elementwise activation.
+    """Jacobian slope and singular coordinates of an activation at a vector z.
 
-    Computed from the stored input z and value a = activation_apply(spec, z),
-    neither of which is checked again.
+    The slope is the Jacobian's diagonal for an elementwise kind and the
+    dense matrix for softmax. It is computed from the stored input z and
+    value a = activation_apply(spec, z), neither of which is checked
+    again (softmax's matrix is rebuilt from z).
     """
     return _TABLE[spec.kind][1](spec, z, a)
 
@@ -198,8 +204,7 @@ def softmax_jacobian(z) -> np.ndarray:
 
 
 def activation_jacobian(spec: ActivationSpec, z) -> ActivationJacobian:
-    """Exact Jacobian of the activation at z, as a dense matrix."""
-    if spec.kind == "softmax":
-        return ActivationJacobian(matrix=softmax_jacobian(z), singular_hit=False)
-    deriv, hits = elementwise_derivative(spec, z)
-    return ActivationJacobian(matrix=np.diag(deriv), singular_hit=bool(hits))
+    """Exact Jacobian of the activation at z, as a dense matrix: the table's slope, made a diagonal matrix if 1-D."""
+    arr = _as_finite_vector(z, "activation input")
+    slope, hits = _slope(spec, arr, _TABLE[spec.kind][0](spec, arr))
+    return ActivationJacobian(matrix=np.diag(slope) if slope.ndim == 1 else slope, singular_hit=bool(hits))

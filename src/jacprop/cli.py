@@ -196,8 +196,8 @@ def _cmd_check(args) -> int:
     trace = jacobian_forward(model, vec)
     estimate = _checked_option("--fd-step", finite_difference_jacobian, model, vec, fd_config)
     result = compare_jacobians(trace.full, estimate, tolerance)
-    row, col = result.argmax_location
     if args.format == "csv":
+        row, col = result.argmax_location
         fields = (
             _format_entry(result.max_abs_diff),
             _format_entry(result.max_rel_diff),
@@ -207,12 +207,7 @@ def _cmd_check(args) -> int:
         )
         out = ",".join(fields) + "\n"
     else:
-        out = {
-            "max_abs_diff": result.max_abs_diff,
-            "max_rel_diff": result.max_rel_diff,
-            "argmax_location": [row, col],
-            "within_tolerance": result.within_tolerance,
-        }
+        out = dataclasses.asdict(result)
     _write(out, trace.singular_hits)
     return EXIT_OK if result.within_tolerance else EXIT_TOLERANCE
 

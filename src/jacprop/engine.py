@@ -6,9 +6,11 @@ The model's Jacobian factors through the layers as a matrix chain:
 
 J_sigma[l] is the activation's Jacobian at the weighted input z[l]: a
 diagonal D[l] = diag(d) for elementwise kinds, the dense softmax matrix S
-otherwise. For folded-bias layers the value pass uses the augmented
-matrix while the factor drops the bias column, so reported Jacobians are
-always with respect to the true m inputs.
+otherwise. Either is the slope the activation table gives every kind
+(``activations._slope``), so the pass never asks a layer's kind. For
+folded-bias layers the value pass uses the augmented matrix while the
+factor drops the bias column, so reported Jacobians are always with
+respect to the true m inputs.
 
 The values z[l] and a[l] come from the model's own lazy value pass (the
 one ``forward`` and the finite-difference probes read). Each layer's
@@ -34,8 +36,12 @@ exact product up to rounding. From the output end, F[L] is multiplied
 out and F[L-1], ..., F[2] are applied to it. That product is checked
 once, and only when it is not finite is the input-to-output order
 replayed, to name the first layer whose prefix overflows. From the input
-end the product is the prefix recursion above, which checks and keeps
-every prefix; otherwise a prefix is built on first access.
+end the product is the prefix recursion above.
+
+The prefixes have one owner, ``_Prefixes``: it builds them input-to-output
+on first access, checks each new one, and keeps them. The input-first fold
+and the replay are both a read of its last entry, which builds, checks and
+keeps every prefix on the way.
 """
 
 import math
@@ -45,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # activation_apply stays importable here: perfbench/selftest.py's tracer test looks it up
-from .activations import _slope, activation_apply, softmax_jacobian  # noqa: F401
+from .activations import _slope, activation_apply  # noqa: F401
 from .errors import NonFiniteError, SingularityError
 from .instrumentation import EvalCounter
 from .model import LayeredModel, _checked_input, _checked_layer, _freeze, _layer_values
@@ -108,37 +114,23 @@ def _finite(matrix: np.ndarray) -> bool:
     return math.isfinite(matrix.sum()) or bool(np.isfinite(matrix).all())
 
 
-def _extend_prefixes(factors: tuple[_Factor, ...], built: list[np.ndarray]) -> list[np.ndarray]:
-    """``built`` (J[2], J[3], ... so far) extended through every factor, in input-to-output order.
-
-    Each new prefix is checked: NonFiniteError names the first layer
-    whose prefix overflows. Callers hold ``np.errstate(over="ignore",
-    invalid="ignore")``, so no numpy warning reports it first.
-    """
-    for net_layer in range(len(built) + 2, len(factors) + 2):
-        factor = factors[net_layer - 2]
-        jac = factor.dot(built[-1]) if built else factor.first()
-        if not _finite(jac):
-            raise NonFiniteError(f"non-finite Jacobian entries at layer {net_layer}")
-        built.append(_freeze(jac))
-    return built
-
-
 class _Prefixes(Sequence):
-    """J[1], ..., J[L] as a read-only sequence; see the module docstring.
+    """J[1], ..., J[L] as a read-only sequence, and the one owner of the prefixes built so far.
 
-    J[L] is the product itself. The identity J[1], and each J[l] for
-    2 <= l < L that the pass did not keep, are built on first access,
-    input-to-output, and kept.
+    J[1] is the identity and J[L] is ``full`` when the output-end product
+    gave it (``None`` otherwise). Every other entry is built on first
+    access, input-to-output through the factors, and kept: each new
+    prefix is checked, and NonFiniteError names the first layer whose
+    prefix overflows. Without ``full``, J[L] is the last built prefix.
     Concurrent readers may build a prefix twice; both get the same values.
     """
 
-    def __init__(self, input_dim: int, factors: tuple[_Factor, ...], full: np.ndarray, built: list[np.ndarray]):
+    def __init__(self, input_dim: int, factors: tuple[_Factor, ...], full: np.ndarray | None):
         self._input_dim = input_dim
         self._factors = factors
         self._full = full
         self._identity = None
-        self._built = built
+        self._built: list[np.ndarray] = []
 
     def __len__(self) -> int:
         return len(self._factors) + 1
@@ -147,18 +139,24 @@ class _Prefixes(Sequence):
         if isinstance(index, slice):
             return tuple(self[i] for i in range(*index.indices(len(self))))
         index = range(len(self))[index]
-        if index == len(self) - 1:
+        if index == len(self) - 1 and self._full is not None:
             return self._full
         if index == 0:
             if self._identity is None:
                 self._identity = _freeze(np.eye(self._input_dim))
             return self._identity
-        built = self._built
-        if len(built) < index:
+        if len(self._built) < index:
+            # extend a copy, and keep it only once every new prefix has passed its check
+            built = list(self._built)
             with np.errstate(over="ignore", invalid="ignore"):
-                built = _extend_prefixes(self._factors[:index], list(built))
+                for net_layer in range(len(built) + 2, index + 2):
+                    factor = self._factors[net_layer - 2]
+                    jac = factor.dot(built[-1]) if built else factor.first()
+                    if not _finite(jac):
+                        raise NonFiniteError(f"non-finite Jacobian entries at layer {net_layer}")
+                    built.append(_freeze(jac))
             self._built = built
-        return built[index - 1]
+        return self._built[index - 1]
 
 
 @dataclass(frozen=True)
@@ -205,22 +203,18 @@ def jacobian_forward(model: LayeredModel, x, counter: EvalCounter | None = None)
     # one errstate for the whole pass: the value pass and the product report overflow themselves
     with np.errstate(over="ignore", invalid="ignore"):
         for net_layer, layer, z, a in _layer_values(model, vec, counter):
-            if layer.activation.kind == "softmax":
-                slope = softmax_jacobian(z)
-            else:
-                try:
-                    slope, layer_hits = _slope(layer.activation, z, a)
-                except SingularityError as exc:
-                    raise SingularityError(
-                        f"layer {net_layer}: {exc}", layer=net_layer, coordinate=exc.coordinate
-                    ) from None
-                hits.extend((net_layer, coord) for coord in layer_hits)
+            try:
+                slope, layer_hits = _slope(layer.activation, z, a)
+            except SingularityError as exc:
+                raise SingularityError(
+                    f"layer {net_layer}: {exc}", layer=net_layer, coordinate=exc.coordinate
+                ) from None
+            hits.extend((net_layer, coord) for coord in layer_hits)
             factors.append(_Factor(slope, layer.linear_part()))
             weighted_inputs.append(_freeze(z))
             activations.append(_freeze(a))
 
         factors = tuple(factors)
-        built: list[np.ndarray] = []
         full = None
         # a chain of one factor is J[2] = F[2] + 0 (see _Factor.first), which the input-first pass builds
         if len(factors) > 1 and _output_first([model.input_dim, *(f.linear.shape[0] for f in factors)]):
@@ -229,14 +223,15 @@ def jacobian_forward(model: LayeredModel, x, counter: EvalCounter | None = None)
                 product = factor.rdot(product)
             if _finite(product):
                 full = _freeze(product)
-        if full is None:
-            # the input-first fold, or the output-first product overflowed: name the layer the
-            # input-to-output order overflows at; if it does not, its product is the answer
-            full = _extend_prefixes(factors, built)[-1]
+    per_layer = _Prefixes(model.input_dim, factors, full)
+    if full is None:
+        # the input-first fold, or the output-first product overflowed: name the layer the
+        # input-to-output order overflows at; if it does not, its product is the answer
+        full = per_layer[-1]
 
     return JacobianTrace(
         full=full,
-        per_layer=_Prefixes(model.input_dim, factors, full, built),
+        per_layer=per_layer,
         activations=tuple(activations),
         weighted_inputs=tuple(weighted_inputs),
         singular_hits=tuple(hits),

@@ -173,13 +173,17 @@ def _checked_tolerance(tolerance) -> float:
 def compare_jacobians(a, b, tolerance: float) -> ComparisonResult:
     """Elementwise comparison of two finite matrices against an absolute tolerance (>= 0).
 
-    Raises :class:`DimensionMismatchError` naming the shapes when they
+    Raises :class:`DimensionMismatchError` naming the argument and its
+    shape when it has more than 2 dimensions, naming the shapes when they
     differ or hold no entries, and :class:`NonFiniteError` naming the
     argument (``a`` or ``b``) that holds a NaN or an infinity: no
     difference to it is meaningful.
     """
     mat_a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     mat_b = np.atleast_2d(np.asarray(b, dtype=np.float64))
+    for name, matrix in (("a", mat_a), ("b", mat_b)):
+        if matrix.ndim > 2:
+            raise DimensionMismatchError(f"{name} must have at most 2 dimensions, got shape {matrix.shape}")
     if mat_a.shape != mat_b.shape:
         raise DimensionMismatchError(f"shape mismatch: {mat_a.shape} vs {mat_b.shape}")
     if mat_a.size == 0:

@@ -54,11 +54,6 @@ class LayerDef:
     def output_dim(self) -> int:
         return self.weights.shape[0]
 
-    @property
-    def fan_in(self) -> int:
-        """Number of true (non-constant) inputs this layer consumes."""
-        return self.weights.shape[1] - (1 if self.bias_folded else 0)
-
     def linear_part(self) -> np.ndarray:
         """Weight matrix without the folded-bias column, for differentiation."""
         return self.weights[:, :-1] if self.bias_folded else self.weights

@@ -26,6 +26,7 @@ CSV dumps use %.17g per entry, which round-trips IEEE doubles exactly.
 """
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 
@@ -142,13 +143,7 @@ def save_model(model: LayeredModel) -> str:
         entry: dict = {"weights": layer.linear_part().tolist()}
         if layer.bias_folded:
             entry["bias"] = layer.weights[:, -1].tolist()
-        spec = layer.activation
-        activation: dict = {"kind": spec.kind}
-        if spec.kind == "leaky_relu":
-            activation["alpha"] = spec.alpha
-        if spec.relu_zero_policy is not None:
-            activation["relu_zero_policy"] = spec.relu_zero_policy
-        entry["activation"] = activation
+        entry["activation"] = {key: value for key, value in asdict(layer.activation).items() if value is not None}
         layers.append(entry)
     doc = {"schema_version": "1", "input_dim": model.input_dim, "layers": layers}
     return json.dumps(doc, indent=2) + "\n"
@@ -161,9 +156,12 @@ def _format_entry(value: float) -> str:
 def emit_matrix(matrix, header: list[str] | None = None) -> str:
     """Format a matrix (or vector, as one row) as CSV text, %.17g entries.
 
-    Raises :class:`DimensionMismatchError` naming the shape of a matrix with no entries.
+    Raises :class:`DimensionMismatchError` naming the shape of an array
+    with more than 2 dimensions or of a matrix with no entries.
     """
     mat = np.asarray(matrix, dtype=np.float64)
+    if mat.ndim > 2:
+        raise DimensionMismatchError(f"matrix must have at most 2 dimensions, got shape {mat.shape}")
     if mat.size == 0:
         raise DimensionMismatchError(f"matrix of shape {mat.shape} has no entries to write")
     mat = np.atleast_2d(mat)

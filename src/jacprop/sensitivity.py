@@ -41,10 +41,13 @@ def _rank(scores: np.ndarray) -> tuple[int, ...]:
 def build_report(jacobian, same_unit: bool = False) -> SensitivityReport:
     """Column/row Euclidean norms of the Jacobian plus deterministic rankings.
 
-    Raises :class:`DimensionMismatchError` for a matrix with no entries and
+    Raises :class:`DimensionMismatchError` for an array with more than 2
+    dimensions or a matrix with no entries, and
     :class:`NonFiniteError` for one with a NaN or an infinity.
     """
     matrix = np.atleast_2d(np.asarray(jacobian, dtype=np.float64))
+    if matrix.ndim > 2:
+        raise DimensionMismatchError(f"jacobian must have at most 2 dimensions, got shape {matrix.shape}")
     if matrix.size == 0:
         raise DimensionMismatchError(f"jacobian of shape {matrix.shape} has no entries to rank")
     if not np.all(np.isfinite(matrix)):

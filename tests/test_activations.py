@@ -166,6 +166,16 @@ class TestSoftmaxProperties:
         shifted = activation_apply(ActivationSpec("softmax"), np.asarray(z) + c)
         assert np.max(np.abs(base - shifted)) <= 1e-12
 
+    def test_entries_beyond_float64_range_apart_do_not_warn(self):
+        # the shift 1e308 - (-1e308) overflows to inf, exp of its negation is the exact 0, and no numpy warning escapes
+        z = [1e308, -1e308]
+        assert softmax(np.array(z)).tolist() == [1.0, 0.0]
+        assert activation_apply(ActivationSpec("softmax"), z).tolist() == [1.0, 0.0]
+        assert softmax_jacobian(z).tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        assert activation_jacobian(ActivationSpec("softmax"), z).matrix.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        columns = activation_apply(ActivationSpec("softmax"), np.array([[1e308, 0.0], [-1e308, 0.0]]))
+        assert columns.tolist() == [[1.0, 0.5], [0.0, 0.5]]
+
     def test_matrix_is_taken_column_by_column(self):
         # the value pass gives softmax the probes as columns; 1000 apart, a shared shift would underflow
         z = np.array([[0.0, 1000.0, -3.0], [1.0, 1001.0, 2.0], [-2.0, 999.0, 0.5]])

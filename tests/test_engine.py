@@ -283,6 +283,7 @@ class TestErrors:
         assert np.all(np.isfinite(trace.full))
         assert np.array_equal(trace.full, expected[-1])
         assert np.array_equal(trace.per_layer[2], expected[2])
+        assert trace.per_layer[-1] is trace.full
 
     def test_finite_entries_whose_sum_overflows_pass_the_check(self):
         # J = [[1.7e308, 1.7e308]] is finite although its sum is not: one factor (input-first) and two (output-first)
@@ -397,8 +398,10 @@ class TestPlan:
             if model.layer_count > 2 and _output_first(widths):
                 continue
             checked += 1
+            trace = jacobian_forward(model, x)
             # bit for bit, the sign of zero included
-            assert jacobian_forward(model, x).full.tobytes() == _input_to_output(model, x)[-1].tobytes(), seed
+            assert trace.full.tobytes() == _input_to_output(model, x)[-1].tobytes(), seed
+            assert trace.per_layer[-1] is trace.full, seed
         assert checked >= 100
 
     def test_product_agrees_with_the_input_to_output_order(self):

@@ -253,6 +253,13 @@ class TestCompare:
         with pytest.raises(DimensionMismatchError, match=f"^matrices of shape {shape} have no entries to compare$"):
             compare_jacobians(a, np.array(a), tolerance=1.0)
 
+    def test_more_than_two_dimensions_rejected(self):
+        three_d = np.zeros((1, 1, 2))
+        with pytest.raises(DimensionMismatchError, match=r"^a must have at most 2 dimensions, got shape \(1, 1, 2\)$"):
+            compare_jacobians(three_d, three_d, tolerance=1.0)
+        with pytest.raises(DimensionMismatchError, match=r"^b must have at most 2 dimensions, got shape \(1, 1, 2\)$"):
+            compare_jacobians(np.zeros((1, 2)), three_d, tolerance=1.0)
+
     def test_boundary_is_inclusive(self):
         result = compare_jacobians([[0.0]], [[0.5]], tolerance=0.5)
         assert result.within_tolerance is True

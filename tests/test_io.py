@@ -234,6 +234,13 @@ class TestMatrixDump:
                 emit_matrix(matrix)
             assert str(excinfo.value) == f"matrix of shape {np.shape(matrix)} has no entries to write"
 
+    def test_emit_rejects_more_than_two_dimensions(self):
+        # each "row" of a 3-D array would be a matrix; an empty one is refused for its dimensions too
+        for matrix in (np.zeros((1, 1, 2)), np.zeros((0, 1, 2))):
+            with pytest.raises(DimensionMismatchError) as excinfo:
+                emit_matrix(matrix)
+            assert str(excinfo.value) == f"matrix must have at most 2 dimensions, got shape {matrix.shape}"
+
     def test_emit_rejects_non_finite(self):
         with pytest.raises(NonFiniteError):
             emit_matrix(np.array([[np.inf]]))

@@ -61,6 +61,10 @@ class TestBuildReport:
         with pytest.raises(DimensionMismatchError, match=f"^jacobian of shape {shape} has no entries to rank$"):
             build_report(matrix)
 
+    def test_more_than_two_dimensions_rejected(self):
+        with pytest.raises(DimensionMismatchError, match=r"^jacobian must have at most 2 dimensions, got shape \(1, 1, 2\)$"):
+            build_report(np.ones((1, 1, 2)))
+
     def test_same_unit_recorded(self):
         assert build_report([[1.0]]).same_unit is False
         assert build_report([[1.0]], same_unit=True).same_unit is True
