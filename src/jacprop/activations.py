@@ -95,12 +95,22 @@ class ActivationJacobian:
     singular_hit: bool
 
 
+def _all_finite(arr: np.ndarray) -> bool:
+    """Whether every entry of a float array is finite.
+
+    Counting the finite entries is numpy's cheapest whole-array test: on
+    small arrays ``count_nonzero`` costs a fraction of a reduction such as
+    ``.all()``, which every call on the request path would otherwise pay.
+    """
+    return np.count_nonzero(np.isfinite(arr)) == arr.size
+
+
 def _as_finite_vector(x, what: str, shape_error: type[Exception] = ValueError) -> np.ndarray:
     """x as a float64 vector (no copy if it is one); ``shape_error`` if not 1-D, NonFiniteError if not finite."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1:
         raise shape_error(f"{what} must be a 1-D vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not _all_finite(arr):
         raise NonFiniteError(f"{what} contains non-finite entries")
     return arr
 
@@ -111,28 +121,39 @@ def _logistic(z: np.ndarray) -> np.ndarray:
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    """softmax of a vector; a matrix is taken column by column."""
-    if np.size(z) < 1:
+    """softmax of a vector; a matrix is taken column by column.
+
+    Raises :class:`NonFiniteError` when a column's maximum is not finite,
+    which is exactly when the result would hold NaN. An entry of -inf
+    below a finite maximum has weight exactly 0.
+    """
+    z = np.asarray(z)
+    if z.size < 1:
         raise ValueError("softmax requires a vector of length >= 1")
+    peak = z.max(axis=0)
+    # a vector's maximum is a scalar, which math.isfinite tests at a fraction of numpy's cost
+    if not (math.isfinite(peak) if z.ndim == 1 else _all_finite(peak)):
+        raise NonFiniteError("softmax input contains NaN or +inf, or a column of only -inf")
     # entries more than float64's range below the maximum shift to -inf, and exp(-inf) is their exact 0
     with np.errstate(over="ignore"):
-        shifted = np.exp(z - np.max(z, axis=0))
-    return shifted / np.sum(shifted, axis=0)
+        shifted = np.exp(z - peak)
+    return shifted / shifted.sum(axis=0)
 
 
 def _kinked_slope(spec: ActivationSpec, z: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     negative_slope = 0.0 if spec.kind == "relu" else spec.alpha
     deriv = np.where(z > 0.0, 1.0, negative_slope)
+    if np.count_nonzero(z) == z.size:  # no coordinate sits at the kink (-0.0 counts as zero too)
+        return deriv, []
     hits = [int(i) + 1 for i in np.flatnonzero(z == 0.0)]
-    if hits:
-        if spec.relu_zero_policy == "reject":
-            raise SingularityError(
-                f"{spec.kind} differentiated at its singular point z=0 (coordinate {hits[0]})",
-                coordinate=hits[0],
-            )
-        if spec.relu_zero_policy == "derivative_one":
-            deriv[z == 0.0] = 1.0
-        # derivative_zero keeps the negative-branch slope already in place
+    if spec.relu_zero_policy == "reject":
+        raise SingularityError(
+            f"{spec.kind} differentiated at its singular point z=0 (coordinate {hits[0]})",
+            coordinate=hits[0],
+        )
+    if spec.relu_zero_policy == "derivative_one":
+        deriv[z == 0.0] = 1.0
+    # derivative_zero keeps the negative-branch slope already in place
     return deriv, hits
 
 
@@ -165,10 +186,10 @@ def activation_apply(spec: ActivationSpec, z) -> np.ndarray:
     arr = np.asarray(z, dtype=np.float64)
     if arr.ndim not in (1, 2):
         raise ValueError(f"activation input must be a vector or a matrix of columns, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if not _all_finite(arr):
         raise NonFiniteError("activation input contains non-finite entries")
     value = _TABLE[spec.kind][0](spec, arr)
-    if not np.isfinite(value).all():
+    if not _all_finite(value):
         raise NonFiniteError("activation value contains non-finite entries")
     return value
 

@@ -44,44 +44,53 @@ and the replay are both a read of its last entry, which builds, checks and
 keeps every prefix on the way.
 """
 
-import math
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 # activation_apply stays importable here: perfbench/selftest.py's tracer test looks it up
-from .activations import _slope, activation_apply  # noqa: F401
+from .activations import _all_finite, _slope, activation_apply  # noqa: F401
 from .errors import NonFiniteError, SingularityError
 from .instrumentation import EvalCounter
-from .model import LayeredModel, _checked_input, _checked_layer, _freeze, _layer_values
+from .model import LayerDef, LayeredModel, _checked_input, _checked_layer, _freeze, _layer_values
 
 
 class _Factor:
     """One layer's F = J_sigma W, kept as its slope (diagonal d or softmax S) and its weights W.
 
     J[2] is ``first()``, F multiplied out; every later J[l] is ``dot(J[l-1])``, weights first.
+    A product with W goes through ``ndarray.dot`` where that gives the bits of ``@`` at less
+    cost per call (see ``model._layer_values``); on the strided view that drops a folded bias
+    column, and over an inner dimension of 1, W keeps ``@``.
     """
 
-    __slots__ = ("slope", "linear", "diagonal")
+    __slots__ = ("slope", "linear", "diagonal", "dot_left", "dot_right")
 
-    def __init__(self, slope: np.ndarray, linear: np.ndarray):
+    def __init__(self, slope: np.ndarray, layer: LayerDef):
         self.slope = slope
-        self.linear = linear
+        self.linear = layer.linear_part()
         self.diagonal = slope.ndim == 1
+        rows, cols = self.linear.shape
+        self.dot_left = cols > 1 and not layer.bias_folded  # for W C
+        self.dot_right = rows > 1 and not layer.bias_folded  # for C W
 
     def dense(self) -> np.ndarray:
         """F itself."""
-        return self.slope[:, np.newaxis] * self.linear if self.diagonal else self.slope @ self.linear
+        if self.diagonal:
+            return self.slope[:, np.newaxis] * self.linear
+        return self.slope.dot(self.linear) if self.dot_right else self.slope @ self.linear
 
     def dot(self, c: np.ndarray) -> np.ndarray:
         """F C, as d * (W C) or S (W C)."""
-        product = self.linear @ c
+        product = self.linear.dot(c) if self.dot_left else self.linear @ c
         return self.slope[:, np.newaxis] * product if self.diagonal else self.slope @ product
 
     def rdot(self, c: np.ndarray) -> np.ndarray:
         """C F, as (C * d) W or (C S) W."""
-        return (c * self.slope if self.diagonal else c @ self.slope) @ self.linear
+        scaled = c * self.slope if self.diagonal else c @ self.slope
+        return scaled.dot(self.linear) if self.dot_right else scaled @ self.linear
 
     def first(self) -> np.ndarray:
         """J[2] = F I_m without the identity: F I_m is F + 0, which only turns -0 into +0."""
@@ -90,6 +99,7 @@ class _Factor:
         return jac
 
 
+@functools.lru_cache(maxsize=256)
 def _output_first(widths: Sequence[int]) -> bool:
     """Whether the chain of a model with layer widths n[1..L] is multiplied from its output end.
 
@@ -99,19 +109,11 @@ def _output_first(widths: Sequence[int]) -> bool:
     n[1] * sum(n[l] n[l-1], l = 3..L). These are the weight products each
     fold runs (``rdot`` and ``dot``); the slopes' row or column scalings and
     multiplying out the first factor are left out. The cheaper fold wins;
-    ties go to the output end.
+    ties go to the output end. A model's widths are fixed, so the choice
+    is made once per shape and cached.
     """
     sizes = [rows * cols for rows, cols in zip(widths[1:], widths)]
     return widths[-1] * sum(sizes[:-1]) <= widths[0] * sum(sizes[1:])
-
-
-def _finite(matrix: np.ndarray) -> bool:
-    """Whether every entry is finite, under the callers' errstate.
-
-    A NaN or infinite entry makes the sum non-finite, so a finite sum
-    settles it cheaply; only a sum that overflows needs the entrywise test.
-    """
-    return math.isfinite(matrix.sum()) or bool(np.isfinite(matrix).all())
 
 
 class _Prefixes(Sequence):
@@ -152,7 +154,7 @@ class _Prefixes(Sequence):
                 for net_layer in range(len(built) + 2, index + 2):
                     factor = self._factors[net_layer - 2]
                     jac = factor.dot(built[-1]) if built else factor.first()
-                    if not _finite(jac):
+                    if not _all_finite(jac):
                         raise NonFiniteError(f"non-finite Jacobian entries at layer {net_layer}")
                     built.append(_freeze(jac))
             self._built = built
@@ -209,19 +211,20 @@ def jacobian_forward(model: LayeredModel, x, counter: EvalCounter | None = None)
                 raise SingularityError(
                     f"layer {net_layer}: {exc}", layer=net_layer, coordinate=exc.coordinate
                 ) from None
-            hits.extend((net_layer, coord) for coord in layer_hits)
-            factors.append(_Factor(slope, layer.linear_part()))
+            if layer_hits:
+                hits.extend((net_layer, coord) for coord in layer_hits)
+            factors.append(_Factor(slope, layer))
             weighted_inputs.append(_freeze(z))
             activations.append(_freeze(a))
 
         factors = tuple(factors)
         full = None
         # a chain of one factor is J[2] = F[2] + 0 (see _Factor.first), which the input-first pass builds
-        if len(factors) > 1 and _output_first([model.input_dim, *(f.linear.shape[0] for f in factors)]):
+        if len(factors) > 1 and _output_first(model._widths):
             product = factors[-1].dense()
             for factor in reversed(factors[:-1]):
                 product = factor.rdot(product)
-            if _finite(product):
+            if _all_finite(product):
                 full = _freeze(product)
     per_layer = _Prefixes(model.input_dim, factors, full)
     if full is None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import _checked_real
+from .activations import _all_finite, _checked_real
 from .errors import DimensionMismatchError, NonFiniteError
 from .instrumentation import EvalCounter
 from .model import LayeredModel, _checked_input, _layer_values
@@ -52,6 +52,8 @@ class ComparisonResult:
     within_tolerance: bool
 
 
+_DEFAULT_CONFIG = FDConfig()
+
 # bytes of one block's instances, weighted inputs and activations (see _block_columns)
 _BLOCK_BYTES = 1 << 20
 
@@ -84,7 +86,7 @@ def _probe_outputs(model: LayeredModel, vec: np.ndarray, rows, values, labels, c
     for start in range(0, len(rows), size):
         block_rows = rows[start : start + size]
         block_values = values[start : start + size]
-        block = np.repeat(vec[:, np.newaxis], len(block_rows), axis=1)
+        block = vec.repeat(len(block_rows)).reshape(-1, len(block_rows))
         block[block_rows, np.arange(len(block_rows))] = block_values
         # counted once the block is known finite; a replayed block counts its own probes
         block_counter = None if counter is None else EvalCounter()
@@ -122,45 +124,43 @@ def finite_difference_jacobian(
     column of the estimate that is not finite, for instance when two
     finite probe outputs differ by more than float64 can hold.
     """
-    cfg = cfg or FDConfig()
+    cfg = _DEFAULT_CONFIG if cfg is None else cfg
     vec = _checked_input(model, x)
     h = cfg.step
-    # Python floats round as float64 does; an x_j + h that overflows is inf, and its probe reports it
-    coords = vec.tolist()
-    high = [v + h for v in coords]
-    low = coords if cfg.scheme == "forward" else [v - h for v in coords]
-    spacing = [up - down for up, down in zip(high, low)]
-    if 0.0 in spacing:
-        j = spacing.index(0.0)
-        raise ValueError(f"step {h!r} vanishes in rounding at input coordinate {j + 1} (value {coords[j]!r})")
-
-    # the probes in the order evaluating them one at a time takes: the base point (coordinate 1
-    # set to itself) and x + h e_j for the forward scheme, x + h e_j and x - h e_j for the central one
-    m = len(coords)
-    if cfg.scheme == "forward":
-        rows = [0, *range(m)]
-        values = [coords[0], *high]
-
-        def labels(i: int) -> str:
-            return f"x + h e_{i}" if i else "base point"
-
-    else:
-        rows = [j for j in range(m) for _ in "+-"]
-        values = [v for pair in zip(high, low) for v in pair]
-
-        def labels(i: int) -> str:
-            return f"x {'+-'[i % 2]} h e_{i // 2 + 1}"
-
+    m = vec.shape[0]
     # every probe reports its own overflow, and the estimate is checked as a whole
     with np.errstate(over="ignore", invalid="ignore"):
+        # an x_j + h that overflows is inf, and its probe reports it
+        high = vec + h
+        low = vec if cfg.scheme == "forward" else vec - h
+        spacing = high - low
+        if np.count_nonzero(spacing) < m:
+            j = int(np.flatnonzero(spacing == 0.0)[0])
+            raise ValueError(f"step {h!r} vanishes in rounding at input coordinate {j + 1} (value {float(vec[j])!r})")
+
+        # the probes in the order evaluating them one at a time takes: the base point (coordinate 1
+        # set to itself) and x + h e_j for the forward scheme, x + h e_j and x - h e_j for the central one
+        if cfg.scheme == "forward":
+            rows = np.concatenate(([0], np.arange(m)))
+            values = np.concatenate((vec[:1], high))
+
+            def labels(i: int) -> str:
+                return f"x + h e_{i}" if i else "base point"
+
+        else:
+            rows = np.arange(m).repeat(2)
+            values = np.array((high, low)).T.ravel()
+
+            def labels(i: int) -> str:
+                return f"x {'+-'[i % 2]} h e_{i // 2 + 1}"
+
         outputs = _probe_outputs(model, vec, rows, values, labels, counter)
         if cfg.scheme == "forward":
             estimate = (outputs[:, 1:] - outputs[:, :1]) / spacing
         else:
             estimate = (outputs[:, 0::2] - outputs[:, 1::2]) / spacing
-    finite = np.isfinite(estimate)
-    if not finite.all():
-        column = int(np.flatnonzero(~finite.all(axis=0))[0]) + 1
+    if not _all_finite(estimate):
+        column = int(np.flatnonzero(~np.isfinite(estimate).all(axis=0))[0]) + 1
         raise NonFiniteError(f"non-finite finite-difference estimate in column {column}")
     return estimate
 
@@ -179,27 +179,31 @@ def compare_jacobians(a, b, tolerance: float) -> ComparisonResult:
     argument (``a`` or ``b``) that holds a NaN or an infinity: no
     difference to it is meaningful.
     """
-    mat_a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    mat_b = np.atleast_2d(np.asarray(b, dtype=np.float64))
+    mat_a = np.asarray(a, dtype=np.float64)
+    mat_b = np.asarray(b, dtype=np.float64)
     for name, matrix in (("a", mat_a), ("b", mat_b)):
         if matrix.ndim > 2:
             raise DimensionMismatchError(f"{name} must have at most 2 dimensions, got shape {matrix.shape}")
+    if mat_a.ndim < 2:
+        mat_a = np.atleast_2d(mat_a)
+    if mat_b.ndim < 2:
+        mat_b = np.atleast_2d(mat_b)
     if mat_a.shape != mat_b.shape:
         raise DimensionMismatchError(f"shape mismatch: {mat_a.shape} vs {mat_b.shape}")
     if mat_a.size == 0:
         raise DimensionMismatchError(f"matrices of shape {mat_a.shape} have no entries to compare")
     tol = _checked_tolerance(tolerance)
     for name, matrix in (("a", mat_a), ("b", mat_b)):
-        if not np.isfinite(matrix).all():
+        if not _all_finite(matrix):
             raise NonFiniteError(f"{name} contains non-finite entries")
     diff = np.abs(mat_a - mat_b)
-    flat_argmax = int(np.argmax(diff))
-    row, col = np.unravel_index(flat_argmax, diff.shape)
+    # the first largest entry in row-major order, as np.unravel_index(np.argmax(diff), shape) gives it
+    row, col = divmod(int(diff.argmax()), diff.shape[1])
     max_abs = float(diff[row, col])
-    max_rel = float(np.max(diff / (1.0 + np.abs(mat_a))))
+    max_rel = float((diff / (1.0 + np.abs(mat_a))).max())
     return ComparisonResult(
         max_abs_diff=max_abs,
         max_rel_diff=max_rel,
-        argmax_location=(int(row) + 1, int(col) + 1),
+        argmax_location=(row + 1, col + 1),
         within_tolerance=bool(max_abs <= tol),
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activations import ActivationSpec, _as_finite_vector, activation_apply
+from .activations import ActivationSpec, _all_finite, _as_finite_vector, activation_apply
 from .errors import DimensionMismatchError, ModelValidationError, NonFiniteError
 from .instrumentation import EvalCounter
 
@@ -72,6 +72,8 @@ class LayeredModel:
     layers: tuple[LayerDef, ...]
     input_dim: int
     _violations: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    # the layer widths n[1..L], input first
+    _widths: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         layers = tuple(self.layers)
@@ -88,6 +90,7 @@ class LayeredModel:
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "input_dim", int(self.input_dim))
         object.__setattr__(self, "_violations", tuple(_find_violations(self)))
+        object.__setattr__(self, "_widths", (self.input_dim, *(layer.output_dim for layer in layers)))
 
     @property
     def layer_count(self) -> int:
@@ -153,7 +156,7 @@ def _find_violations(model: LayeredModel) -> list[str]:
                 f"layer {pos}: weight matrix must have at least one row and one column, got {rows}x{cols}"
             )
         else:
-            if not np.all(np.isfinite(layer.weights)):
+            if not _all_finite(layer.weights):
                 violations.append(f"layer {pos}: weights contain non-finite entries")
             expected = prev_size + (1 if layer.bias_folded else 0)
             if cols != expected:
@@ -193,6 +196,10 @@ def _checked_layer(layer, low: int, high: int) -> int:
     return int(layer)
 
 
+# the constant-1 component a folded bias meets in a pass over one instance
+_ONE = _freeze(np.ones(1))
+
+
 def _layer_values(model: LayeredModel, vec: np.ndarray, counter: EvalCounter | None = None):
     """The value pass, one layer at a time: yields (net_layer, layer, z, a).
 
@@ -212,10 +219,14 @@ def _layer_values(model: LayeredModel, vec: np.ndarray, counter: EvalCounter | N
     columns = 1 if vec.ndim == 1 else vec.shape[1]
     if counter is not None:
         counter.count_model_eval(columns)
+    ones = _ONE if vec.ndim == 1 else np.ones((1, columns))
     a = vec
     for net_layer, layer in enumerate(model.layers, start=2):
-        src = np.concatenate((a, np.ones((1, *a.shape[1:])))) if layer.bias_folded else a
-        z = layer.weights @ src
+        src = np.concatenate((a, ones)) if layer.bias_folded else a
+        # ndarray.dot costs less per call than @ and gives the same bits between C-contiguous
+        # operands over an inner dimension above 1; over 1 it multiplies, and keeps the -0 of a
+        # product that @'s sum turns into +0
+        z = layer.weights.dot(src) if layer.weights.shape[1] > 1 else layer.weights @ src
         if counter is not None:
             counter.count_weighted_input(columns)
         try:

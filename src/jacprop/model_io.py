@@ -30,7 +30,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .activations import ActivationSpec
+from .activations import ActivationSpec, _all_finite
 from .errors import DimensionMismatchError, FormatError, NonFiniteError
 from .model import InstanceVector, LayerDef, LayeredModel, _validated, fold_bias
 from .sensitivity import SensitivityReport, _checked_k
@@ -164,8 +164,9 @@ def emit_matrix(matrix, header: list[str] | None = None) -> str:
         raise DimensionMismatchError(f"matrix must have at most 2 dimensions, got shape {mat.shape}")
     if mat.size == 0:
         raise DimensionMismatchError(f"matrix of shape {mat.shape} has no entries to write")
-    mat = np.atleast_2d(mat)
-    if not np.all(np.isfinite(mat)):
+    if mat.ndim < 2:
+        mat = np.atleast_2d(mat)
+    if not _all_finite(mat):
         raise NonFiniteError("matrix contains non-finite entries")
     lines = []
     if header is not None:
@@ -175,8 +176,9 @@ def emit_matrix(matrix, header: list[str] | None = None) -> str:
         if len(labels) != mat.shape[1]:
             raise ValueError(f"{len(labels)} header labels for {mat.shape[1]} columns")
         lines.append(",".join(labels))
-    for row in mat:
-        lines.append(",".join(_format_entry(v) for v in row))
+    # one format string per row: each entry is _format_entry's %.17g
+    row_format = ",".join(["%.17g"] * mat.shape[1])
+    lines.extend(row_format % tuple(row) for row in mat.tolist())
     return "\n".join(lines) + "\n"
 
 

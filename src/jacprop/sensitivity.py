@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .activations import _all_finite
 from .errors import DimensionMismatchError, NonFiniteError
 from .model import _freeze
 
@@ -35,7 +36,7 @@ class SensitivityReport:
 
 def _rank(scores: np.ndarray) -> tuple[int, ...]:
     # stable: equal scores keep ascending index order
-    return tuple((np.argsort(-scores, kind="stable") + 1).tolist())
+    return tuple(((-scores).argsort(kind="stable") + 1).tolist())
 
 
 def build_report(jacobian, same_unit: bool = False) -> SensitivityReport:
@@ -45,15 +46,19 @@ def build_report(jacobian, same_unit: bool = False) -> SensitivityReport:
     dimensions or a matrix with no entries, and
     :class:`NonFiniteError` for one with a NaN or an infinity.
     """
-    matrix = np.atleast_2d(np.asarray(jacobian, dtype=np.float64))
+    matrix = np.asarray(jacobian, dtype=np.float64)
+    if matrix.ndim < 2:
+        matrix = np.atleast_2d(matrix)
     if matrix.ndim > 2:
         raise DimensionMismatchError(f"jacobian must have at most 2 dimensions, got shape {matrix.shape}")
     if matrix.size == 0:
         raise DimensionMismatchError(f"jacobian of shape {matrix.shape} has no entries to rank")
-    if not np.all(np.isfinite(matrix)):
+    if not _all_finite(matrix):
         raise NonFiniteError("jacobian contains non-finite entries")
-    feature_scores = np.linalg.norm(matrix, axis=0)
-    output_scores = np.linalg.norm(matrix, axis=1)
+    # np.linalg.norm(matrix, axis=k) is sqrt of the sum of squares along k, and this squares once for both
+    squares = matrix * matrix
+    feature_scores = np.sqrt(squares.sum(axis=0))
+    output_scores = np.sqrt(squares.sum(axis=1))
     return SensitivityReport(
         feature_scores=_freeze(feature_scores),
         output_scores=_freeze(output_scores),

@@ -82,6 +82,25 @@ def spec_seed7_model():
     return model, x
 
 
+def awkward_matrices(seed, count=200):
+    """Random matrices of 1-7 rows and columns that hold 0, -0.0, tiny entries and tied entries.
+
+    For pinning a rewritten reduction to the numpy formula it replaces,
+    byte for byte: ties, signed zeros and sums that round differently in
+    another order are where two formulas part.
+    """
+    rng = np.random.default_rng(seed)
+    palette = np.array([0.0, -0.0, 0.5, -0.5, 1.0, 1e-200, -3e-160, 2.0**-1074])
+    matrices = []
+    for _ in range(count):
+        shape = tuple(int(n) for n in rng.integers(1, 8, size=2))
+        matrix = rng.uniform(-1.0, 1.0, size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+        pick = rng.random(shape)
+        matrix[pick < 0.4] = rng.choice(palette, size=int((pick < 0.4).sum()))
+        matrices.append(matrix)
+    return matrices
+
+
 def _scalar_apply(kind: str, v: float, alpha: float | None) -> float:
     if kind == "identity":
         return v

@@ -183,6 +183,35 @@ class TestSoftmaxProperties:
         for column in range(3):
             assert values[:, column].tobytes() == softmax(z[:, column]).tobytes(), column
 
+    @pytest.mark.parametrize(
+        "z",
+        [
+            [np.nan, 1.0],
+            [np.inf, 1.0],
+            [-np.inf, -np.inf],
+            [1.0, np.nan, -np.inf],
+            [[1.0, 0.0], [np.nan, 2.0]],
+            [[0.0, np.inf], [1.0, 0.0]],
+            [[-np.inf, 0.0], [-np.inf, 1.0]],
+        ],
+        ids=["nan", "inf", "only-minus-inf", "nan-among-finite", "matrix-nan", "matrix-inf", "matrix-minus-inf"],
+    )
+    def test_a_column_without_a_finite_maximum_is_refused(self, z):
+        # that is exactly when the result would hold NaN; no numpy warning comes first (warnings are errors here)
+        with pytest.raises(NonFiniteError, match=r"^softmax input contains NaN or \+inf, or a column of only -inf$"):
+            softmax(np.array(z))
+
+    def test_minus_inf_below_a_finite_maximum_has_weight_zero(self):
+        assert softmax(np.array([-np.inf, 1.0])).tolist() == [0.0, 1.0]
+        assert softmax(np.array([[-np.inf, 2.0], [0.0, -np.inf]])).tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+    @pytest.mark.parametrize("z", [[np.nan, 1.0], [np.inf, 1.0], [-np.inf, -np.inf], [-np.inf, 1.0]])
+    def test_the_checked_entry_points_keep_their_message(self, z):
+        # activation_apply and softmax_jacobian check z before softmax sees it
+        for fn in (lambda v: activation_apply(ActivationSpec("softmax"), v), softmax_jacobian):
+            with pytest.raises(NonFiniteError, match="^activation input contains non-finite entries$"):
+                fn(z)
+
 
 class TestZeroPolicies:
     @pytest.mark.parametrize(

@@ -434,6 +434,83 @@ class TestPlan:
                 assert not np.signbit(prefix).any()
 
 
+def _folded_signed_zero_models():
+    """sweep_model's models with 0, -0.0 and 1e-300 weights and a folded bias on every other layer, at
+    their input, at 0 and at an input with zero coordinates: where a product over an inner dimension
+    of 1 is -0, and where a strided weight view rounds differently under another kernel."""
+    for seed in range(300):
+        model, x = sweep_model(seed)
+        rng = np.random.default_rng(seed)
+        layers = []
+        for pos, layer in enumerate(model.layers):
+            linear = np.array(layer.linear_part())
+            pick = rng.random(linear.shape)
+            linear[pick < 0.2] = 0.0
+            linear[(pick >= 0.2) & (pick < 0.4)] = -0.0
+            linear[(pick >= 0.4) & (pick < 0.45)] = 1e-300
+            if (pos + seed) % 2 == 0:
+                bias = rng.choice([0.0, -0.0, 0.5, -1.0], size=linear.shape[0])
+                layers.append(LayerDef(weights=fold_bias(linear, bias), activation=layer.activation, bias_folded=True))
+            else:
+                layers.append(LayerDef(weights=linear, activation=layer.activation))
+        folded = LayeredModel(layers=tuple(layers), input_dim=model.input_dim)
+        for point in (x, np.zeros_like(x), np.where(rng.random(x.shape) < 0.5, 0.0, x)):
+            yield folded, point
+    # J[2] a 1x1 zero (relu off) meets a 1x1 negative weight: over an inner dimension of 1, .dot keeps the
+    # product's -0 and @ sums it into +0
+    column = (np.array([[1.0]]), np.array([[-1.0]]), np.array([[0.5], [-0.25]]))
+    kinds = ("relu", "identity", "tanh")
+    layers = tuple(LayerDef(weights=w, activation=ActivationSpec(kind)) for w, kind in zip(column, kinds))
+    yield LayeredModel(layers=layers, input_dim=1), np.array([-1.0])
+
+
+def _pass_with(model, trace, matmul):
+    """The weighted inputs, the prefixes J[2..L] and the output-first product, each product through matmul."""
+    zs, prefixes, factors = [], [], []
+    for layer, a, z in zip(model.layers, trace.activations, trace.weighted_inputs):
+        src = np.concatenate((a, [1.0])) if layer.bias_folded else a
+        zs.append(matmul(layer.weights, src))
+        slope = activation_jacobian(layer.activation, z).matrix
+        dense = layer.activation.kind == "softmax"
+        factors.append((slope if dense else np.diag(slope), dense, layer.linear_part()))
+    for slope, dense, linear in factors:
+        if not prefixes:
+            jac = (matmul(slope, linear) if dense else slope[:, np.newaxis] * linear) + 0.0
+        else:
+            product = matmul(linear, prefixes[-1])
+            jac = matmul(slope, product) if dense else slope[:, np.newaxis] * product
+        prefixes.append(jac)
+    slope, dense, linear = factors[-1]
+    product = matmul(slope, linear) if dense else slope[:, np.newaxis] * linear
+    for slope, dense, linear in reversed(factors[:-1]):
+        product = matmul(matmul(product, slope) if dense else product * slope, linear)
+    return zs, prefixes, product
+
+
+class TestProductsKeepTheBitsOfMatmul:
+    """The pass multiplies through ndarray.dot only where it gives the bits of @."""
+
+    def test_pass_and_folds_are_the_matmul_formulas_bit_for_bit(self):
+        for model, x in _folded_signed_zero_models():
+            trace = jacobian_forward(model, x)
+            zs, prefixes, product = _pass_with(model, trace, np.matmul)
+            assert [z.tobytes() for z in trace.weighted_inputs] == [z.tobytes() for z in zs]
+            assert [jac.tobytes() for jac in trace.per_layer[1:]][:-1] == [jac.tobytes() for jac in prefixes][:-1]
+            expected = product if model.layer_count > 2 and _output_first(model._widths) else prefixes[-1]
+            assert trace.full.tobytes() == expected.tobytes()
+
+    def test_the_bit_check_sees_dot_everywhere(self):
+        # ndarray.dot on every product, the strided views and inner dimensions of 1 included, parts from @
+        parted = {"weighted inputs": 0, "prefixes": 0, "output-first product": 0}
+        for model, x in _folded_signed_zero_models():
+            trace = jacobian_forward(model, x)
+            at, dot = _pass_with(model, trace, np.matmul), _pass_with(model, trace, np.dot)
+            for name, mine, other in zip(parted, at, dot):
+                mine, other = (mine, other) if isinstance(mine, list) else ([mine], [other])
+                parted[name] += [m.tobytes() for m in mine] != [o.tobytes() for o in other]
+        assert all(parted.values()), parted
+
+
 class TestPrefixes:
     def test_per_layer_is_a_read_only_sequence(self):
         model, x = spec_seed7_model()

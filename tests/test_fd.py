@@ -15,7 +15,14 @@ from jacprop import (
     jacobian_forward,
 )
 from jacprop import fd
-from helpers import overflowing_activation_model, random_smooth_model, seeded_model, spec_seed7_model, sweep_model
+from helpers import (
+    awkward_matrices,
+    overflowing_activation_model,
+    random_smooth_model,
+    seeded_model,
+    spec_seed7_model,
+    sweep_model,
+)
 
 
 # How far two estimates at h = 1e-5 may differ, scaled by 1 + max|J|, when their probes went through
@@ -282,6 +289,45 @@ class TestCompare:
         # inf and an integer beyond float64 (read as inf) admit every finite difference
         assert compare_jacobians(matrix, matrix, float("inf")).within_tolerance
         assert compare_jacobians(matrix, matrix, 10**400).within_tolerance
+
+
+def _numpy_argmax(diff):
+    """1-based (row, col) of the first largest entry, as numpy locates it."""
+    return tuple(int(i) + 1 for i in np.unravel_index(np.argmax(diff), diff.shape))
+
+
+def _last_argmax(diff):
+    """A wrong way to the same maximum: the last of tied entries instead of the first."""
+    flat = diff.size - 1 - int(np.argmax(diff.ravel()[::-1]))
+    return tuple(int(i) + 1 for i in np.unravel_index(flat, diff.shape))
+
+
+def _comparison_pairs():
+    """(a, b) pairs whose differences tie often: b is a plus a few whole halves."""
+    rng = np.random.default_rng(4)
+    pairs = []
+    for a in awkward_matrices(2):
+        pairs.append((a, a + rng.integers(-2, 3, size=a.shape) * 0.5))
+        pairs.append((a, -a))
+    return pairs
+
+
+class TestComparisonIsNumpysFormula:
+    def test_fields_are_the_numpy_formulas_bit_for_bit(self):
+        for a, b in _comparison_pairs():
+            result = compare_jacobians(a, b, 0.5)
+            diff = np.abs(a - b)
+            assert result.argmax_location == _numpy_argmax(diff)
+            assert result.max_abs_diff.hex() == float(np.max(diff)).hex()
+            assert result.max_rel_diff.hex() == float(np.max(diff / (1.0 + np.abs(a)))).hex()
+
+    def test_vectors_are_one_row(self):
+        result = compare_jacobians([1.0, 2.0, 3.0, 4.0], [1.0, 2.5, 3.0, 4.5], 0.1)
+        assert result.argmax_location == (1, 2)
+
+    def test_the_argmax_check_sees_the_last_of_tied_maxima(self):
+        pairs = _comparison_pairs()
+        assert any(_last_argmax(np.abs(a - b)) != _numpy_argmax(np.abs(a - b)) for a, b in pairs)
 
 
 class TestConfigAndErrors:

@@ -23,7 +23,7 @@ from jacprop import (
     report_to_json,
     save_model,
 )
-from helpers import seeded_model
+from helpers import awkward_matrices, seeded_model
 
 MINIMAL_DOC = json.dumps(
     {
@@ -255,6 +255,20 @@ class TestMatrixDump:
     def test_values_round_trip_bit_exactly(self, values):
         text = emit_matrix(np.array([values]))
         assert np.array_equal(parse_matrix(text), np.array([values]))
+
+
+def _entrywise_csv(matrix, fmt="%.17g"):
+    return "".join(",".join(fmt % v for v in row) + "\n" for row in np.atleast_2d(matrix))
+
+
+class TestEmitIsTheEntrywiseFormat:
+    def test_rows_are_each_entry_formatted_alone(self):
+        for matrix in awkward_matrices(3, 100):
+            assert emit_matrix(matrix) == _entrywise_csv(matrix)
+            assert emit_matrix(matrix[0]) == _entrywise_csv(matrix[0])
+
+    def test_the_format_check_sees_a_shorter_format(self):
+        assert any(_entrywise_csv(m, "%.16g") != _entrywise_csv(m) for m in awkward_matrices(3, 100))
 
 
 class TestReportSerialization:

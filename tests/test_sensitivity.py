@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from jacprop import DimensionMismatchError, NonFiniteError, build_report, emit_matrix, jacobian_forward, top_k
-from helpers import spec_seed7_model
+from helpers import awkward_matrices, spec_seed7_model
 
 
 class TestBuildReport:
@@ -76,6 +76,21 @@ class TestBuildReport:
         assert np.all(report.output_scores >= 0)
         assert sorted(report.feature_ranking) == list(range(1, 8))
         assert sorted(report.output_ranking) == list(range(1, 6))
+
+
+class TestScoresAreNumpysNorm:
+    def test_scores_are_linalg_norm_bit_for_bit(self):
+        for matrix in awkward_matrices(1):
+            report = build_report(matrix)
+            assert report.feature_scores.tobytes() == np.linalg.norm(matrix, axis=0).tobytes()
+            assert report.output_scores.tobytes() == np.linalg.norm(matrix, axis=1).tobytes()
+
+    def test_the_bit_check_sees_another_summation_order(self):
+        # summing the squares bottom-up gives the same scores to within rounding, not to the bit
+        matrices = awkward_matrices(1)
+        assert any(
+            np.sqrt((m * m)[::-1].sum(axis=0)).tobytes() != np.linalg.norm(m, axis=0).tobytes() for m in matrices
+        )
 
 
 class TestTopK:

@@ -31,3 +31,38 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# numpy's module-level reductions go through a Python wrapper; the ndarray methods do the same
+# reduction at less cost per call, which the small arrays of every request pay many times over
+REDUCTIONS = frozenset({"all", "any", "max", "min", "sum", "argmax"})
+
+
+def module_reductions(source: str) -> list[str]:
+    """Each use of ``np.all``, ``np.any``, ``np.max``, ``np.min``, ``np.sum`` or ``np.argmax``."""
+    found = [
+        (node.lineno, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "np"
+        and node.attr in REDUCTIONS
+    ]
+    return [f"line {line}: np.{name}" for line, name in sorted(found)]
+
+
+def test_the_check_sees_a_module_reduction():
+    source = (
+        "import numpy as np\n"
+        "ok = np.isfinite(x).all() and x.max(axis=0) > x.sum()\n"
+        "if not np.all(np.isfinite(x)):\n"
+        "    pass\n"
+        "peak = max(np.max(z, axis=0), np.argmax(z))\n"
+        "key = np.sum  # np.min in a comment is not code\n"
+    )
+    assert module_reductions(source) == ["line 3: np.all", "line 5: np.argmax", "line 5: np.max", "line 6: np.sum"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_reductions(path):
+    assert module_reductions(path.read_text(encoding="utf-8")) == []
