@@ -2,8 +2,8 @@
 
 The Jacobian factors of a layered model are collected alongside the
 activations in a single input-to-output traversal and multiplied out
-from whichever end of the chain is cheaper; every intermediate prefix
-Jacobian is available as a byproduct. A finite-difference oracle provides
+from the output end of the chain; every intermediate prefix Jacobian is
+available as a byproduct. A finite-difference oracle provides
 independent verification, and sensitivity reports turn a Jacobian into
 per-feature and per-output rankings for one instance.
 """

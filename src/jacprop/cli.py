@@ -118,7 +118,14 @@ def _read_text(path: str) -> str:
 
 
 def _load(args):
-    """The model, with --strict-singularities applied, and the instance."""
+    """The model, with --strict-singularities applied, and the instance.
+
+    --input's usage errors come before the model is read, as every option's do.
+    """
+    if not args.input:
+        raise _UsageError("--input is required")
+    if len(args.input) > 1:
+        raise _UsageError("--input given more than once; ambiguous instance")
     model = load_model(_read_text(args.model))
     if getattr(args, "strict_singularities", False):
         # ActivationSpec sets a policy on exactly the kinked kinds
@@ -129,10 +136,6 @@ def _load(args):
             for layer in model.layers
         )
         model = LayeredModel(layers=layers, input_dim=model.input_dim)
-    if not args.input:
-        raise _UsageError("--input is required")
-    if len(args.input) > 1:
-        raise _UsageError("--input given more than once; ambiguous instance")
     raw = args.input[0]
     if raw.startswith("@"):
         raw = _read_text(raw[1:]).strip("\r\n")

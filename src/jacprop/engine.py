@@ -30,21 +30,20 @@ J[2] is F[2] multiplied out, plus 0 (what the product with I_m gives: a
 the weights meet the prefix first, then its rows are scaled, the forward
 accumulation of the chain rule, whatever the layer's shape.
 
-Once every factor is in, the chain is multiplied from whichever end
-costs fewer multiplications (``_output_first``); both give the same
-exact product up to rounding. From the output end, F[L] is multiplied
-out and F[L-1], ..., F[2] are applied to it. That product is checked
-once, and only when it is not finite is the input-to-output order
-replayed, to name the first layer whose prefix overflows. From the input
-end the product is the prefix recursion above.
+Once every factor is in, the chain is multiplied from the output end:
+F[L] is multiplied out and F[L-1], ..., F[2] are applied to it. For the
+models this serves, many input features and few outputs, that end is the
+cheaper one. The product is checked once, and only when it is not finite
+is the input-to-output order replayed, to name the first layer whose
+prefix overflows; if none does, that order's product is the answer. A
+chain of one factor is J[2] itself.
 
 The prefixes have one owner, ``_Prefixes``: it builds them input-to-output
-on first access, checks each new one, and keeps them. The input-first fold
+on first access, checks each new one, and keeps them. The one-factor chain
 and the replay are both a read of its last entry, which builds, checks and
 keeps every prefix on the way.
 """
 
-import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -99,23 +98,6 @@ class _Factor:
         return jac
 
 
-@functools.lru_cache(maxsize=256)
-def _output_first(widths: Sequence[int]) -> bool:
-    """Whether the chain of a model with layer widths n[1..L] is multiplied from its output end.
-
-    Each fold costs the multiplications of its matrix products: applying
-    F[L-1], ..., F[2] to the n[L] rows of F[L] costs n[L] * sum(n[l] n[l-1],
-    l = 2..L-1); applying F[3], ..., F[L] to the n[1] columns of J[2] costs
-    n[1] * sum(n[l] n[l-1], l = 3..L). These are the weight products each
-    fold runs (``rdot`` and ``dot``); the slopes' row or column scalings and
-    multiplying out the first factor are left out. The cheaper fold wins;
-    ties go to the output end. A model's widths are fixed, so the choice
-    is made once per shape and cached.
-    """
-    sizes = [rows * cols for rows, cols in zip(widths[1:], widths)]
-    return widths[-1] * sum(sizes[:-1]) <= widths[0] * sum(sizes[1:])
-
-
 class _Prefixes(Sequence):
     """J[1], ..., J[L] as a read-only sequence, and the one owner of the prefixes built so far.
 
@@ -167,8 +149,7 @@ class JacobianTrace:
 
     ``per_layer[l-1]`` is J[l] for l = 1..L, where layer 1 is the input
     (J[1] = I_m) and J[L] is ``full``. It is a read-only sequence whose
-    intermediate entries the pass builds when it multiplies from the
-    input end, and otherwise builds on first access; reading one whose
+    intermediate entries are built on first access; reading one whose
     input-to-output product overflows raises :class:`NonFiniteError`
     naming that layer, even though ``full`` is finite.
     ``singular_hits`` lists (layer, coordinate) pairs, 1-based, where a
@@ -219,8 +200,8 @@ def jacobian_forward(model: LayeredModel, x, counter: EvalCounter | None = None)
 
         factors = tuple(factors)
         full = None
-        # a chain of one factor is J[2] = F[2] + 0 (see _Factor.first), which the input-first pass builds
-        if len(factors) > 1 and _output_first(model._widths):
+        # a chain of one factor is J[2] = F[2] + 0 (see _Factor.first), which _Prefixes builds
+        if len(factors) > 1:
             product = factors[-1].dense()
             for factor in reversed(factors[:-1]):
                 product = factor.rdot(product)
@@ -228,7 +209,7 @@ def jacobian_forward(model: LayeredModel, x, counter: EvalCounter | None = None)
                 full = _freeze(product)
     per_layer = _Prefixes(model.input_dim, factors, full)
     if full is None:
-        # the input-first fold, or the output-first product overflowed: name the layer the
+        # one factor, or the output-first product overflowed: name the layer the
         # input-to-output order overflows at; if it does not, its product is the answer
         full = per_layer[-1]
 

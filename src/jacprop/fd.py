@@ -88,10 +88,8 @@ def _probe_outputs(model: LayeredModel, vec: np.ndarray, rows, values, labels, c
         block_values = values[start : start + size]
         block = vec.repeat(len(block_rows)).reshape(-1, len(block_rows))
         block[block_rows, np.arange(len(block_rows))] = block_values
-        # counted once the block is known finite; a replayed block counts its own probes
-        block_counter = None if counter is None else EvalCounter()
         try:
-            for *_, outputs in _layer_values(model, block, block_counter):
+            for *_, outputs in _layer_values(model, block):
                 pass
         except NonFiniteError:
             replayed = []
@@ -101,9 +99,11 @@ def _probe_outputs(model: LayeredModel, vec: np.ndarray, rows, values, labels, c
                 replayed.append(_probe_output(model, probe, counter, labels(i)))
             outputs = np.column_stack(replayed)
         else:
+            # counted once the block is known finite, as k passes over L-1 layers; a replayed block
+            # counts its own probes
             if counter is not None:
-                counter.count_model_eval(block_counter.model_evals)
-                counter.count_weighted_input(block_counter.weighted_input_evals)
+                counter.count_model_eval(len(block_rows))
+                counter.count_weighted_input(len(block_rows) * len(model.layers))
         blocks.append(outputs)
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
 

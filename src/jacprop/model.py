@@ -72,8 +72,6 @@ class LayeredModel:
     layers: tuple[LayerDef, ...]
     input_dim: int
     _violations: tuple[str, ...] = field(init=False, compare=False, repr=False)
-    # the layer widths n[1..L], input first
-    _widths: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         layers = tuple(self.layers)
@@ -90,7 +88,6 @@ class LayeredModel:
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "input_dim", int(self.input_dim))
         object.__setattr__(self, "_violations", tuple(_find_violations(self)))
-        object.__setattr__(self, "_widths", (self.input_dim, *(layer.output_dim for layer in layers)))
 
     @property
     def layer_count(self) -> int:

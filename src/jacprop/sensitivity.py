@@ -7,12 +7,12 @@ probabilities); the caller records that via ``same_unit``, which is
 carried but never enforced.
 """
 
+import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import _all_finite
 from .errors import DimensionMismatchError, NonFiniteError
 from .model import _freeze
 
@@ -39,12 +39,36 @@ def _rank(scores: np.ndarray) -> tuple[int, ...]:
     return tuple(((-scores).argsort(kind="stable") + 1).tolist())
 
 
+# below this bound on peak^2 * (longest axis), no square and no sum of squares leaves float64
+_PLAIN_LIMIT = 2.0**1020
+
+
+def _scaled_norms(matrix: np.ndarray, axis: int, name: str) -> np.ndarray:
+    """The Euclidean norms along ``axis``, for a matrix whose squares may overflow.
+
+    Each vector is scaled by the smallest power of two above its largest
+    magnitude before it is squared, and its norm scaled back. Scaling by a
+    power of two is exact, so a score is the plain formula's wherever that
+    one neither overflows nor underflows. NonFiniteError names the first
+    score beyond float64.
+    """
+    exponents = np.frexp(np.abs(matrix).max(axis=axis, keepdims=True))[1]
+    scaled = np.ldexp(matrix, -exponents)
+    with np.errstate(over="ignore"):
+        scores = np.ldexp(np.sqrt((scaled * scaled).sum(axis=axis)), exponents.squeeze(axis))
+    beyond = np.flatnonzero(~np.isfinite(scores))
+    if beyond.size:
+        raise NonFiniteError(f"{name} {beyond[0] + 1} has a sensitivity score beyond float64's range")
+    return scores
+
+
 def build_report(jacobian, same_unit: bool = False) -> SensitivityReport:
     """Column/row Euclidean norms of the Jacobian plus deterministic rankings.
 
     Raises :class:`DimensionMismatchError` for an array with more than 2
     dimensions or a matrix with no entries, and
-    :class:`NonFiniteError` for one with a NaN or an infinity.
+    :class:`NonFiniteError` for one with a NaN or an infinity, or with a
+    score beyond float64's range, naming the axis and the index.
     """
     matrix = np.asarray(jacobian, dtype=np.float64)
     if matrix.ndim < 2:
@@ -53,12 +77,17 @@ def build_report(jacobian, same_unit: bool = False) -> SensitivityReport:
         raise DimensionMismatchError(f"jacobian must have at most 2 dimensions, got shape {matrix.shape}")
     if matrix.size == 0:
         raise DimensionMismatchError(f"jacobian of shape {matrix.shape} has no entries to rank")
-    if not _all_finite(matrix):
+    peak = float(np.abs(matrix).max())  # NaN or inf when an entry is
+    if not math.isfinite(peak):
         raise NonFiniteError("jacobian contains non-finite entries")
-    # np.linalg.norm(matrix, axis=k) is sqrt of the sum of squares along k, and this squares once for both
-    squares = matrix * matrix
-    feature_scores = np.sqrt(squares.sum(axis=0))
-    output_scores = np.sqrt(squares.sum(axis=1))
+    if peak * peak * max(matrix.shape) < _PLAIN_LIMIT:
+        # np.linalg.norm(matrix, axis=k) is sqrt of the sum of squares along k, and this squares once for both
+        squares = matrix * matrix
+        feature_scores = np.sqrt(squares.sum(axis=0))
+        output_scores = np.sqrt(squares.sum(axis=1))
+    else:
+        feature_scores = _scaled_norms(matrix, 0, "feature")
+        output_scores = _scaled_norms(matrix, 1, "output")
     return SensitivityReport(
         feature_scores=_freeze(feature_scores),
         output_scores=_freeze(output_scores),

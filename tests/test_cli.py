@@ -277,6 +277,15 @@ class TestInputHandling:
         result = run_cli("forward", "--model", f"{tmp_path}/ghost.json", "--input", "1,1")
         assert result.returncode == 1
 
+    @pytest.mark.parametrize("command", ["forward", "jacobian", "check", "report"])
+    def test_missing_input_is_named_before_the_model_is_read(self, command, tmp_path):
+        result = run_cli(command, "--model", f"{tmp_path}/ghost.json")
+        assert result.returncode == 1
+        assert result.stderr == "error: --input is required\n"
+        repeated = run_cli(command, "--model", f"{tmp_path}/ghost.json", "--input", "1,1", "--input", "2,2")
+        assert repeated.returncode == 1
+        assert repeated.stderr == "error: --input given more than once; ambiguous instance\n"
+
     def test_invalid_model_exits_2(self, models):
         result = run_cli("jacobian", "--model", models["invalid"], "--input", "1,1")
         assert result.returncode == 2

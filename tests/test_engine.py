@@ -24,7 +24,6 @@ from jacprop import (
     prefix_model,
     suffix_model,
 )
-from jacprop.engine import _output_first
 from helpers import overflowing_activation_model, random_smooth_model, seeded_model, spec_seed7_model, sweep_model
 
 
@@ -261,7 +260,7 @@ class TestErrors:
         assert (excinfo.value.layer, excinfo.value.coordinate) == (4, 1)
 
     def test_finite_product_with_an_overflowing_prefix(self):
-        assert _output_first((2, 1, 1, 1))  # output-to-input: 1e-200 * 1e200 first
+        # output-to-input: 1e-200 * 1e200 first
         trace = jacobian_forward(_overflowing_prefix_model(), [1e-200, 0.0])
         assert np.allclose(trace.full, [[1e200, 1e200]], rtol=1e-15, atol=0)
         assert np.array_equal(trace.per_layer[1], [[1e200, 1e200]])
@@ -343,64 +342,31 @@ def _output_to_input(model, x):
     return product
 
 
-def _fold_costs(widths):
-    """Multiplications of the output-first and the input-first fold, one matrix product at a time."""
-    shapes = list(zip(widths[1:], widths[:-1]))  # F[2], ..., F[L]
-    output, (rows, inner) = 0, shapes[-1]
-    for _, cols in reversed(shapes[:-1]):
-        output += rows * inner * cols
-        inner = cols
-    input_first, (inner, cols) = 0, shapes[0]
-    for rows, _ in shapes[1:]:
-        input_first += rows * inner * cols
-        inner = rows
-    return output, input_first
-
-
-def _random_widths(seed):
-    """Layer widths n[1..L], input first, of a chain of 1-6 factors; narrow ranges make many ties."""
-    rng = np.random.default_rng(seed)
-    k = int(rng.integers(1, 7))
-    return tuple(int(d) for d in rng.integers(1, 4 if seed % 2 else 100, size=k + 1))
-
-
 class TestPlan:
-    def test_the_cheaper_fold_is_chosen(self):
-        for seed in range(300):
-            widths = _random_widths(seed)
-            output, input_first = _fold_costs(widths)
-            assert _output_first(widths) == (output <= input_first), widths
-
-    def test_order_follows_the_shapes(self):
-        assert _output_first((784, 512, 512, 10))
-        assert not _output_first((1, 64, 64, 64))
+    def test_every_shape_folds_from_the_output_end(self):
         wide = seeded_model(4, (784, 512, 512, 10), ("relu", "relu", "softmax"))
         x = np.linspace(-1.0, 1.0, 784)
         assert jacobian_forward(wide, x).full.tobytes() == _output_to_input(wide, x).tobytes()
         narrow = seeded_model(4, (1, 64, 64, 64), ("tanh", "logistic", "softplus"))
-        assert jacobian_forward(narrow, [0.5]).full.tobytes() == _input_to_output(narrow, [0.5])[-1].tobytes()
+        assert jacobian_forward(narrow, [0.5]).full.tobytes() == _output_to_input(narrow, [0.5]).tobytes()
 
     def test_ties_break_the_same_way_every_time(self):
-        output, input_first = _fold_costs((4,) * 5)
-        assert output == input_first and _output_first((4,) * 5)
-        assert _output_first((3, 7, 2))  # two factors: both folds are the one product
         model = seeded_model(3, (4, 4, 4, 4, 4), ("tanh", "softplus", "logistic", "tanh"))
         x = np.array([0.3, -0.1, 0.7, 0.2])
         first, again = jacobian_forward(model, x).full, jacobian_forward(model, x).full
         assert first.tobytes() == again.tobytes()
         assert first.tobytes() == _output_to_input(model, x).tobytes()
 
-    def test_input_first_product_is_the_last_prefix(self):
+    def test_product_is_the_output_to_input_fold(self):
         checked = 0
         for seed in range(400):
             model, x = sweep_model(seed)
-            widths = (model.input_dim, *(layer.output_dim for layer in model.layers))
-            if model.layer_count > 2 and _output_first(widths):
+            if model.layer_count == 2:  # a chain of one factor: the product is J[2]
                 continue
             checked += 1
             trace = jacobian_forward(model, x)
             # bit for bit, the sign of zero included
-            assert trace.full.tobytes() == _input_to_output(model, x)[-1].tobytes(), seed
+            assert trace.full.tobytes() == _output_to_input(model, x).tobytes(), seed
             assert trace.per_layer[-1] is trace.full, seed
         assert checked >= 100
 
@@ -496,7 +462,7 @@ class TestProductsKeepTheBitsOfMatmul:
             zs, prefixes, product = _pass_with(model, trace, np.matmul)
             assert [z.tobytes() for z in trace.weighted_inputs] == [z.tobytes() for z in zs]
             assert [jac.tobytes() for jac in trace.per_layer[1:]][:-1] == [jac.tobytes() for jac in prefixes][:-1]
-            expected = product if model.layer_count > 2 and _output_first(model._widths) else prefixes[-1]
+            expected = product if model.layer_count > 2 else prefixes[-1]
             assert trace.full.tobytes() == expected.tobytes()
 
     def test_the_bit_check_sees_dot_everywhere(self):

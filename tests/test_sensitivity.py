@@ -85,6 +85,34 @@ class TestScoresAreNumpysNorm:
             assert report.feature_scores.tobytes() == np.linalg.norm(matrix, axis=0).tobytes()
             assert report.output_scores.tobytes() == np.linalg.norm(matrix, axis=1).tobytes()
 
+    def test_squares_beyond_float64_keep_their_scores_and_ranking(self):
+        # 1e200 squared overflows; the scores are still the norms, without a numpy warning
+        report = build_report([[1e200, 3e200], [0.0, 2.0]])
+        assert report.feature_scores.tolist() == [1e200, 3e200]
+        assert report.feature_ranking == (2, 1)
+        assert report.output_scores == pytest.approx([math.sqrt(10.0) * 1e200, 2.0], rel=1e-15)
+        assert report.output_ranking == (1, 2)
+
+    def test_power_of_two_scaling_keeps_the_bits(self):
+        # M moved by a power of two up to a largest entry near 2^1015, whose square overflows: its
+        # scores are M's norms moved by the same power, exactly
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            shape = tuple(int(n) for n in rng.integers(1, 8, size=2))
+            matrix = rng.uniform(-1.0, 1.0, size=shape) * 10.0 ** rng.integers(-100, 101, size=shape)
+            shift = 1015 - int(np.frexp(np.abs(matrix).max())[1])
+            report = build_report(np.ldexp(matrix, shift))
+            for scores, axis in ((report.feature_scores, 0), (report.output_scores, 1)):
+                assert scores.tobytes() == np.ldexp(np.linalg.norm(matrix, axis=axis), shift).tobytes()
+
+    @pytest.mark.parametrize(
+        "matrix,named",
+        [([[1.7e308], [1.7e308]], "feature 1"), ([[1.0, 1.7e308], [1.0, 1.7e308]], "feature 2"), ([[1.7e308, 1.7e308]], "output 1")],
+    )
+    def test_a_score_beyond_float64_is_named(self, matrix, named):
+        with pytest.raises(NonFiniteError, match=f"^{named} has a sensitivity score beyond float64's range$"):
+            build_report(matrix)
+
     def test_the_bit_check_sees_another_summation_order(self):
         # summing the squares bottom-up gives the same scores to within rounding, not to the bit
         matrices = awkward_matrices(1)
