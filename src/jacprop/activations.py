@@ -105,9 +105,26 @@ def _all_finite(arr: np.ndarray) -> bool:
     return np.count_nonzero(np.isfinite(arr)) == arr.size
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _as_real(x, what: str) -> np.ndarray:
+    """x as a float64 array (no copy if it is one); ValueError if it holds complex numbers.
+
+    The dtype is read before the cast, which would keep only the real part, with a ComplexWarning.
+    Anything else is cast from x itself, so that numpy's own conversion errors keep their text.
+    """
+    arr = np.asarray(x)
+    if arr.dtype != _FLOAT64:
+        if arr.dtype.kind == "c":
+            raise ValueError(f"{what} must hold real numbers, got dtype {arr.dtype}")
+        arr = np.asarray(x, dtype=np.float64)
+    return arr
+
+
 def _as_finite_vector(x, what: str, shape_error: type[Exception] = ValueError) -> np.ndarray:
     """x as a float64 vector (no copy if it is one); ``shape_error`` if not 1-D, NonFiniteError if not finite."""
-    arr = np.asarray(x, dtype=np.float64)
+    arr = _as_real(x, what)
     if arr.ndim != 1:
         raise shape_error(f"{what} must be a 1-D vector, got shape {arr.shape}")
     if not _all_finite(arr):
@@ -127,7 +144,7 @@ def softmax(z: np.ndarray) -> np.ndarray:
     which is exactly when the result would hold NaN. An entry of -inf
     below a finite maximum has weight exactly 0.
     """
-    z = np.asarray(z)
+    z = _as_real(z, "softmax input")
     if z.size < 1:
         raise ValueError("softmax requires a vector of length >= 1")
     peak = z.max(axis=0)
@@ -183,7 +200,7 @@ def activation_apply(spec: ActivationSpec, z) -> np.ndarray:
 
     Raises :class:`NonFiniteError` when z or the value has a non-finite entry.
     """
-    arr = np.asarray(z, dtype=np.float64)
+    arr = _as_real(z, "activation input")
     if arr.ndim not in (1, 2):
         raise ValueError(f"activation input must be a vector or a matrix of columns, got shape {arr.shape}")
     if not _all_finite(arr):

@@ -16,9 +16,10 @@ The values z[l] and a[l] come from the model's own lazy value pass (the
 one ``forward`` and the finite-difference probes read). Each layer's
 slope is taken as its layer arrives, so a relu kink under ``reject``
 stops the pass before the next layer is evaluated. A factor is kept as
-its slope and its weights. Only the factor a fold starts from is
-multiplied out; every other one is applied to a dense matrix C as
-D W C = d * (W C) or C D W = (C * d) W (S (W C) or (C S) W for softmax).
+a (slope, weights) pair and multiplied with ``@``. Only the factor a fold
+starts from is multiplied out; every other one is applied to a dense
+matrix C as D W C = d * (W C) or C D W = (C * d) W (S (W C) or (C S) W
+for softmax).
 
 The prefix Jacobians J[l], one per layer, are the Jacobians of the model
 prefix ending at layer l:
@@ -53,49 +54,23 @@ import numpy as np
 from .activations import _all_finite, _slope, activation_apply  # noqa: F401
 from .errors import NonFiniteError, SingularityError
 from .instrumentation import EvalCounter
-from .model import LayerDef, LayeredModel, _checked_input, _checked_layer, _freeze, _layer_values
+from .model import LayeredModel, _checked_input, _checked_layer, _freeze, _layer_values
 
 
-class _Factor:
-    """One layer's F = J_sigma W, kept as its slope (diagonal d or softmax S) and its weights W.
+def _dense(slope: np.ndarray, linear: np.ndarray) -> np.ndarray:
+    """F = J_sigma W, multiplied out."""
+    return slope[:, np.newaxis] * linear if slope.ndim == 1 else slope @ linear
 
-    J[2] is ``first()``, F multiplied out; every later J[l] is ``dot(J[l-1])``, weights first.
-    A product with W goes through ``ndarray.dot`` where that gives the bits of ``@`` at less
-    cost per call (see ``model._layer_values``); on the strided view that drops a folded bias
-    column, and over an inner dimension of 1, W keeps ``@``.
-    """
 
-    __slots__ = ("slope", "linear", "diagonal", "dot_left", "dot_right")
+def _left(slope: np.ndarray, linear: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """F C, as d * (W C) or S (W C)."""
+    product = linear @ c
+    return slope[:, np.newaxis] * product if slope.ndim == 1 else slope @ product
 
-    def __init__(self, slope: np.ndarray, layer: LayerDef):
-        self.slope = slope
-        self.linear = layer.linear_part()
-        self.diagonal = slope.ndim == 1
-        rows, cols = self.linear.shape
-        self.dot_left = cols > 1 and not layer.bias_folded  # for W C
-        self.dot_right = rows > 1 and not layer.bias_folded  # for C W
 
-    def dense(self) -> np.ndarray:
-        """F itself."""
-        if self.diagonal:
-            return self.slope[:, np.newaxis] * self.linear
-        return self.slope.dot(self.linear) if self.dot_right else self.slope @ self.linear
-
-    def dot(self, c: np.ndarray) -> np.ndarray:
-        """F C, as d * (W C) or S (W C)."""
-        product = self.linear.dot(c) if self.dot_left else self.linear @ c
-        return self.slope[:, np.newaxis] * product if self.diagonal else self.slope @ product
-
-    def rdot(self, c: np.ndarray) -> np.ndarray:
-        """C F, as (C * d) W or (C S) W."""
-        scaled = c * self.slope if self.diagonal else c @ self.slope
-        return scaled.dot(self.linear) if self.dot_right else scaled @ self.linear
-
-    def first(self) -> np.ndarray:
-        """J[2] = F I_m without the identity: F I_m is F + 0, which only turns -0 into +0."""
-        jac = self.dense()
-        jac += 0.0
-        return jac
+def _right(c: np.ndarray, slope: np.ndarray, linear: np.ndarray) -> np.ndarray:
+    """C F, as (C * d) W or (C S) W."""
+    return (c * slope if slope.ndim == 1 else c @ slope) @ linear
 
 
 class _Prefixes(Sequence):
@@ -109,7 +84,7 @@ class _Prefixes(Sequence):
     Concurrent readers may build a prefix twice; both get the same values.
     """
 
-    def __init__(self, input_dim: int, factors: tuple[_Factor, ...], full: np.ndarray | None):
+    def __init__(self, input_dim: int, factors: tuple[tuple[np.ndarray, np.ndarray], ...], full: np.ndarray | None):
         self._input_dim = input_dim
         self._factors = factors
         self._full = full
@@ -134,8 +109,12 @@ class _Prefixes(Sequence):
             built = list(self._built)
             with np.errstate(over="ignore", invalid="ignore"):
                 for net_layer in range(len(built) + 2, index + 2):
-                    factor = self._factors[net_layer - 2]
-                    jac = factor.dot(built[-1]) if built else factor.first()
+                    slope, linear = self._factors[net_layer - 2]
+                    if built:
+                        jac = _left(slope, linear, built[-1])
+                    else:
+                        jac = _dense(slope, linear)
+                        jac += 0.0  # F I_m is F + 0, which only turns -0 into +0
                     if not _all_finite(jac):
                         raise NonFiniteError(f"non-finite Jacobian entries at layer {net_layer}")
                     built.append(_freeze(jac))
@@ -178,7 +157,7 @@ def jacobian_forward(model: LayeredModel, x, counter: EvalCounter | None = None)
     last layer.
     """
     vec = _freeze(_checked_input(model, x))
-    factors: list[_Factor] = []
+    factors: list[tuple[np.ndarray, np.ndarray]] = []
     activations = [vec]
     weighted_inputs: list[np.ndarray] = []
     hits: list[tuple[int, int]] = []
@@ -194,17 +173,17 @@ def jacobian_forward(model: LayeredModel, x, counter: EvalCounter | None = None)
                 ) from None
             if layer_hits:
                 hits.extend((net_layer, coord) for coord in layer_hits)
-            factors.append(_Factor(slope, layer))
+            factors.append((slope, layer.linear_part()))
             weighted_inputs.append(_freeze(z))
             activations.append(_freeze(a))
 
         factors = tuple(factors)
         full = None
-        # a chain of one factor is J[2] = F[2] + 0 (see _Factor.first), which _Prefixes builds
+        # a chain of one factor is J[2] = F[2] + 0, which _Prefixes builds
         if len(factors) > 1:
-            product = factors[-1].dense()
-            for factor in reversed(factors[:-1]):
-                product = factor.rdot(product)
+            product = _dense(*factors[-1])
+            for slope, linear in reversed(factors[:-1]):
+                product = _right(product, slope, linear)
             if _all_finite(product):
                 full = _freeze(product)
     per_layer = _Prefixes(model.input_dim, factors, full)

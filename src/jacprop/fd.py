@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import _all_finite, _checked_real
+from .activations import _all_finite, _as_real, _checked_real
 from .errors import DimensionMismatchError, NonFiniteError
 from .instrumentation import EvalCounter
 from .model import LayeredModel, _checked_input, _layer_values
@@ -179,8 +179,8 @@ def compare_jacobians(a, b, tolerance: float) -> ComparisonResult:
     argument (``a`` or ``b``) that holds a NaN or an infinity: no
     difference to it is meaningful.
     """
-    mat_a = np.asarray(a, dtype=np.float64)
-    mat_b = np.asarray(b, dtype=np.float64)
+    mat_a = _as_real(a, "a")
+    mat_b = _as_real(b, "b")
     for name, matrix in (("a", mat_a), ("b", mat_b)):
         if matrix.ndim > 2:
             raise DimensionMismatchError(f"{name} must have at most 2 dimensions, got shape {matrix.shape}")

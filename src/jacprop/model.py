@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activations import ActivationSpec, _all_finite, _as_finite_vector, activation_apply
+from .activations import ActivationSpec, _all_finite, _as_finite_vector, _as_real, activation_apply
 from .errors import DimensionMismatchError, ModelValidationError, NonFiniteError
 from .instrumentation import EvalCounter
 
@@ -40,7 +40,7 @@ class LayerDef:
 
     def __post_init__(self):
         try:
-            w = np.array(self.weights, dtype=np.float64)
+            w = np.array(_as_real(self.weights, "weights"))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"weights must form a rectangular numeric matrix: {exc}") from None
         if w.ndim != 2:
@@ -126,8 +126,8 @@ def fold_bias(weights, bias) -> np.ndarray:
     The caller contract from the augmented-model form: the input of the
     resulting matrix gains a trailing constant-1 component.
     """
-    w = np.asarray(weights, dtype=np.float64)
-    b = np.asarray(bias, dtype=np.float64)
+    w = _as_real(weights, "weights")
+    b = _as_real(bias, "bias")
     if w.ndim != 2:
         raise DimensionMismatchError(f"weights must be a 2-D matrix, got shape {w.shape}")
     if b.ndim != 1:

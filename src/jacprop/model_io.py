@@ -18,9 +18,9 @@ The model document schema, version "1":
       ]
     }
 
-Parsing is strict: unknown keys anywhere are rejected. Biases are folded
-into augmented weight matrices at load time and unfolded again on save,
-so documents round-trip bit-exactly.
+Parsing is strict: unknown and repeated keys anywhere are rejected.
+Biases are folded into augmented weight matrices at load time and
+unfolded again on save, so documents round-trip bit-exactly.
 
 CSV dumps use %.17g per entry, which round-trips IEEE doubles exactly.
 """
@@ -30,7 +30,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .activations import ActivationSpec, _all_finite
+from .activations import ActivationSpec, _all_finite, _as_real
 from .errors import DimensionMismatchError, FormatError, NonFiniteError
 from .model import InstanceVector, LayerDef, LayeredModel, _validated, fold_bias
 from .sensitivity import SensitivityReport, _checked_k
@@ -78,6 +78,16 @@ def _parse_weights(obj, where: str) -> np.ndarray:
     return np.array(obj, dtype=np.float64)
 
 
+def _unique_keys(pairs: list) -> dict:
+    # json.loads would keep the last of a repeated key's values without a word
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for key in keys if keys.count(key) > 1)
+        raise FormatError(f"repeated key {repeated!r} in a JSON object")
+    return obj
+
+
 def _parse_int(token: str):
     # past 308 characters an integer may exceed float64 (and past 4300 digits
     # int() refuses it); float() reads it as 1e400 is read, as +-inf
@@ -92,7 +102,7 @@ def load_model(text: str) -> LayeredModel:
     structural invariants (dimension chain, finiteness).
     """
     try:
-        doc = json.loads(text, parse_int=_parse_int)
+        doc = json.loads(text, parse_int=_parse_int, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise FormatError(
             f"JSON syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -159,7 +169,7 @@ def emit_matrix(matrix, header: list[str] | None = None) -> str:
     Raises :class:`DimensionMismatchError` naming the shape of an array
     with more than 2 dimensions or of a matrix with no entries.
     """
-    mat = np.asarray(matrix, dtype=np.float64)
+    mat = _as_real(matrix, "matrix")
     if mat.ndim > 2:
         raise DimensionMismatchError(f"matrix must have at most 2 dimensions, got shape {mat.shape}")
     if mat.size == 0:

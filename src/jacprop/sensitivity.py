@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .activations import _as_real
 from .errors import DimensionMismatchError, NonFiniteError
 from .model import _freeze
 
@@ -69,8 +70,12 @@ def build_report(jacobian, same_unit: bool = False) -> SensitivityReport:
     dimensions or a matrix with no entries, and
     :class:`NonFiniteError` for one with a NaN or an infinity, or with a
     score beyond float64's range, naming the axis and the index.
+    ``same_unit`` must be a bool (ValueError otherwise), and complex
+    entries raise ValueError.
     """
-    matrix = np.asarray(jacobian, dtype=np.float64)
+    if not isinstance(same_unit, (bool, np.bool_)):
+        raise ValueError(f"same_unit must be a bool, got {same_unit!r}")
+    matrix = _as_real(jacobian, "jacobian")
     if matrix.ndim < 2:
         matrix = np.atleast_2d(matrix)
     if matrix.ndim > 2:

@@ -65,6 +65,13 @@ class TestValidate:
         assert result.returncode == 2
         assert "layer 1" in result.stdout
 
+    def test_repeated_key(self, tmp_path):
+        path = tmp_path / "repeated.json"
+        path.write_text(MINIMAL.replace('"input_dim": 2', '"input_dim": 2, "input_dim": 3'))
+        result = run_cli("validate", "--model", str(path))
+        assert (result.returncode, result.stdout) == (1, "")
+        assert "repeated key 'input_dim'" in result.stderr
+
     def test_unparseable_model(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("not json at all")

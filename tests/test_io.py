@@ -149,6 +149,20 @@ class TestLoadModel:
         with pytest.raises(FormatError):
             load_model("[1, 2, 3]")
 
+    @pytest.mark.parametrize(
+        "old,new,key",
+        [
+            ('"input_dim": 2', '"input_dim": 2, "input_dim": 3', "input_dim"),
+            ('"weights": [[1, 2]]', '"weights": [[1, 2]], "weights": [[3, 4]]', "weights"),
+            ('"kind": "identity"', '"kind": "relu", "kind": "tanh"', "kind"),
+        ],
+        ids=["top level", "layer", "activation"],
+    )
+    def test_repeated_keys_are_refused(self, old, new, key):
+        # json.loads alone keeps the last value: input_dim 3, weights [[3, 4]], kind tanh
+        with pytest.raises(FormatError, match=f"^repeated key '{key}' in a JSON object$"):
+            load_model(MINIMAL_DOC.replace(old, new))
+
 
 class TestSaveModel:
     def test_minimal_round_trip_same_outputs(self):

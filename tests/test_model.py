@@ -12,9 +12,15 @@ from jacprop import (
     LayeredModel,
     ModelValidationError,
     NonFiniteError,
+    activation_apply,
+    build_report,
+    compare_jacobians,
+    emit_matrix,
     fold_bias,
     forward,
+    jacobian_forward,
     prefix_model,
+    softmax,
     suffix_model,
     validate_model,
 )
@@ -233,3 +239,34 @@ class TestTypes:
         assert "_violations" not in repr(model)
         with pytest.raises(ModelValidationError):
             forward(wider, [1.0, 2.0, 3.0])
+
+
+_IDENTITY_2_TO_1 = LayeredModel(layers=(LayerDef(weights=[[1.0, 2.0]], activation=ActivationSpec("identity")),), input_dim=2)
+
+
+# each entry point takes a vector (1+5j, 2) or a matrix [[1+5j, 2]]; a cast would keep only the real parts
+@pytest.mark.parametrize(
+    "call,what",
+    [
+        (lambda v, m: jacobian_forward(_IDENTITY_2_TO_1, v), "input"),
+        (lambda v, m: forward(_IDENTITY_2_TO_1, v), "input"),
+        (lambda v, m: InstanceVector(values=v), "instance"),
+        (lambda v, m: activation_apply(ActivationSpec("tanh"), v), "activation input"),
+        (lambda v, m: softmax(v), "softmax input"),
+        (lambda v, m: compare_jacobians(m, [[1.0, 2.0]], 0.0), "a"),
+        (lambda v, m: compare_jacobians([[1.0, 2.0]], m, 0.0), "b"),
+        (lambda v, m: build_report(m), "jacobian"),
+        (lambda v, m: emit_matrix(m), "matrix"),
+        (lambda v, m: LayerDef(weights=m, activation=ActivationSpec("identity")), "weights"),
+        (lambda v, m: fold_bias(m, [0.0]), "weights"),
+        (lambda v, m: fold_bias([[1.0], [2.0]], v), "bias"),
+    ],
+    ids=[
+        "jacobian_forward", "forward", "InstanceVector", "activation_apply", "softmax", "compare_jacobians a",
+        "compare_jacobians b", "build_report", "emit_matrix", "LayerDef", "fold_bias weights", "fold_bias bias",
+    ],
+)
+@pytest.mark.parametrize("container", [np.array, list], ids=["ndarray", "list"])
+def test_complex_input_is_refused(call, what, container):
+    with pytest.raises(ValueError, match=f"{what} must hold real numbers, got dtype complex128$"):
+        call(container([1 + 5j, 2.0]), container([[1 + 5j, 2.0]]))

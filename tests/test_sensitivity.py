@@ -68,6 +68,11 @@ class TestBuildReport:
     def test_same_unit_recorded(self):
         assert build_report([[1.0]]).same_unit is False
         assert build_report([[1.0]], same_unit=True).same_unit is True
+        assert build_report([[1.0]], same_unit=np.bool_(True)).same_unit is True
+        assert build_report([[1.0]], same_unit=np.False_).same_unit is False
+        for value in ("false", "true", 0, 1, None, 1.0, [True]):
+            with pytest.raises(ValueError, match="^same_unit must be a bool, got "):
+                build_report([[1.0]], same_unit=value)
 
     def test_scores_are_non_negative(self):
         rng = np.random.default_rng(2)

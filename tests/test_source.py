@@ -66,3 +66,31 @@ def test_the_check_sees_a_module_reduction():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_module_reductions(path):
     assert module_reductions(path.read_text(encoding="utf-8")) == []
+
+
+# ndarray.dot gives the bits of @ only between C-contiguous operands over an inner dimension above 1;
+# the value pass in model.py is the one place that keeps that rule
+def dot_calls(source: str) -> list[str]:
+    """Each call of a ``.dot`` attribute: ``w.dot(x)``, ``np.dot(w, x)``."""
+    found = [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "dot"
+    ]
+    return [f"line {line}: .dot" for line in sorted(found)]
+
+
+def test_the_check_sees_a_dot_call():
+    source = (
+        "import numpy as np\n"
+        "y = w @ x  # w.dot(x) in a comment is not code\n"
+        "z = w.dot(x)\n"
+        "f = w.dot\n"
+        "p = np.dot(a, b) + a.T.dot(b)\n"
+    )
+    assert dot_calls(source) == ["line 3: .dot", "line 5: .dot", "line 5: .dot"]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "model.py"], ids=lambda p: p.name)
+def test_no_dot_calls_outside_the_value_pass(path):
+    assert dot_calls(path.read_text(encoding="utf-8")) == []
