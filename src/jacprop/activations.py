@@ -6,7 +6,8 @@ its value function and to its exact Jacobian slope: the diagonal of an
 elementwise kind's Jacobian, computed from the weighted input z and the
 stored value a (tanh' = 1-a^2, logistic' = a(1-a)), or softmax's dense
 matrix. That slope is what the forward Jacobian pass requires of each
-layer.
+layer. The table also gives every kind the norms that bound its value and
+its slope at any finite z, from which a model bounds its whole pass.
 
 relu and leaky_relu are not differentiable at exactly 0; the behaviour
 there is controlled by ``relu_zero_policy``:
@@ -39,11 +40,11 @@ def _checked_real(value, what: str, rule: str, ok) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{what} must be a real number, got {value!r}")
     try:
-        number, shown = float(value), repr(value)
+        number, beyond = float(value), False
     except OverflowError:  # an integer beyond float64 reads as +-inf, as 1e400 does
-        number, shown = math.inf if value > 0 else -math.inf, "an integer beyond float64"
+        number, beyond = math.inf if value > 0 else -math.inf, True
     if not ok(number):
-        raise ValueError(f"{what} must be {rule}, got {shown}")
+        raise ValueError(f"{what} must be {rule}, got {'an integer beyond float64' if beyond else repr(value)}")
     return number
 
 
@@ -147,14 +148,18 @@ def softmax(z: np.ndarray) -> np.ndarray:
     z = _as_real(z, "softmax input")
     if z.size < 1:
         raise ValueError("softmax requires a vector of length >= 1")
-    peak = z.max(axis=0)
+    peak = np.maximum.reduce(z)
     # a vector's maximum is a scalar, which math.isfinite tests at a fraction of numpy's cost
     if not (math.isfinite(peak) if z.ndim == 1 else _all_finite(peak)):
         raise NonFiniteError("softmax input contains NaN or +inf, or a column of only -inf")
-    # entries more than float64's range below the maximum shift to -inf, and exp(-inf) is their exact 0
-    with np.errstate(over="ignore"):
+    # a vector's spread is taken between Python floats, which overflow to inf without a numpy warning
+    if z.ndim == 1 and math.isfinite(float(peak) - float(np.minimum.reduce(z))):
         shifted = np.exp(z - peak)
-    return shifted / shifted.sum(axis=0)
+    else:
+        # entries more than float64's range below the maximum shift to -inf, and exp(-inf) is their exact 0
+        with np.errstate(over="ignore"):
+            shifted = np.exp(z - peak)
+    return shifted / np.add.reduce(shifted)
 
 
 def _kinked_slope(spec: ActivationSpec, z: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -175,30 +180,38 @@ def _kinked_slope(spec: ActivationSpec, z: np.ndarray, a: np.ndarray) -> tuple[n
 
 
 def _leaky_relu(spec: ActivationSpec, z: np.ndarray) -> np.ndarray:
+    slopes = np.where(z > 0.0, 1.0, spec.alpha)
+    if spec.alpha <= 1.0:  # |alpha z| <= |z|
+        return z * slopes
     # alpha * z may overflow where the slope is finite: the value is then -inf, which activation_apply refuses
     with np.errstate(over="ignore"):
-        return z * np.where(z > 0.0, 1.0, spec.alpha)
+        return z * slopes
 
 
-# kind -> (value(spec, z), slope(spec, z, a) -> (slope, singular coordinates)), where the slope
-# is the Jacobian's diagonal for elementwise kinds and the dense matrix for softmax
+# kind -> (value(spec, z), slope(spec, z, a) -> (slope, singular coordinates), norms(spec) -> (g, kappa)),
+# where the slope is the Jacobian's diagonal for elementwise kinds and the dense matrix for softmax.
+# The norms bound the kind for any finite z: |value| <= max(1, g max|z|) entrywise, or <= 1 where g is
+# None, and kappa bounds the largest absolute row sum of the slope (2 s_i (1 - s_i) <= 1/2 for softmax).
 _TABLE = {
-    "identity": (lambda spec, z: z.copy(), lambda spec, z, a: (np.ones_like(z), [])),
-    "logistic": (lambda spec, z: _logistic(z), lambda spec, z, a: (a * (1.0 - a), [])),
-    "tanh": (lambda spec, z: np.tanh(z), lambda spec, z, a: (1.0 - a * a, [])),
-    # z + log1p(exp(-z)) for positive z, log1p(exp(z)) otherwise
-    "softplus": (lambda spec, z: np.logaddexp(0.0, z), lambda spec, z, a: (_logistic(z), [])),
-    "relu": (lambda spec, z: np.maximum(z, 0.0), _kinked_slope),
-    "leaky_relu": (_leaky_relu, _kinked_slope),
+    "identity": (lambda spec, z: z.copy(), lambda spec, z, a: (np.ones(z.shape), []), lambda spec: (1.0, 1.0)),
+    "logistic": (lambda spec, z: _logistic(z), lambda spec, z, a: (a * (1.0 - a), []), lambda spec: (None, 0.25)),
+    "tanh": (lambda spec, z: np.tanh(z), lambda spec, z, a: (1.0 - a * a, []), lambda spec: (None, 1.0)),
+    # z + log1p(exp(-z)) for positive z, log1p(exp(z)) otherwise; log(1 + e^t) <= max(1, 2t) for t >= 0
+    "softplus": (
+        lambda spec, z: np.logaddexp(0.0, z), lambda spec, z, a: (_logistic(z), []), lambda spec: (2.0, 1.0)
+    ),
+    "relu": (lambda spec, z: np.maximum(z, 0.0), _kinked_slope, lambda spec: (1.0, 1.0)),
+    "leaky_relu": (_leaky_relu, _kinked_slope, lambda spec: (max(1.0, spec.alpha),) * 2),
     # softmax_jacobian is looked up at call time, so a wrapper put on the module's name sees the call
-    "softmax": (lambda spec, z: softmax(z), lambda spec, z, a: (softmax_jacobian(z), [])),
+    "softmax": (lambda spec, z: softmax(z), lambda spec, z, a: (softmax_jacobian(z), []), lambda spec: (None, 0.5)),
 }
 
 
 def activation_apply(spec: ActivationSpec, z) -> np.ndarray:
     """Apply the activation to a weighted-input vector, or to each column of an (n, k) matrix of them.
 
-    Raises :class:`NonFiniteError` when z or the value has a non-finite entry.
+    Raises :class:`NonFiniteError` when z or the value has a non-finite entry. Only the value
+    of leaky_relu with alpha > 1 can leave float64 at a finite z, so only that value is tested.
     """
     arr = _as_real(z, "activation input")
     if arr.ndim not in (1, 2):
@@ -206,7 +219,8 @@ def activation_apply(spec: ActivationSpec, z) -> np.ndarray:
     if not _all_finite(arr):
         raise NonFiniteError("activation input contains non-finite entries")
     value = _TABLE[spec.kind][0](spec, arr)
-    if not _all_finite(value):
+    # alpha is set for leaky_relu only
+    if spec.alpha is not None and spec.alpha > 1.0 and not _all_finite(value):
         raise NonFiniteError("activation value contains non-finite entries")
     return value
 
@@ -220,6 +234,11 @@ def _slope(spec: ActivationSpec, z: np.ndarray, a: np.ndarray) -> tuple[np.ndarr
     again (softmax's matrix is rebuilt from z).
     """
     return _TABLE[spec.kind][1](spec, z, a)
+
+
+def _norms(spec: ActivationSpec) -> tuple[float | None, float]:
+    """(g, kappa): the value growth and the slope norm of the table, for a model's overflow bound."""
+    return _TABLE[spec.kind][2](spec)
 
 
 def elementwise_derivative(spec: ActivationSpec, z) -> tuple[np.ndarray, list[int]]:

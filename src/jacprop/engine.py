@@ -43,6 +43,13 @@ The prefixes have one owner, ``_Prefixes``: it builds them input-to-output
 on first access, checks each new one, and keeps them. The one-factor chain
 and the replay are both a read of its last entry, which builds, checks and
 keeps every prefix on the way.
+
+Every check above can fail only beyond the model's safe input, the bound
+``LayeredModel`` computes from its weights when it is built (see
+``model._survey``): below it, no value and no product of the pass can
+leave float64. An input whose max|x| is below it runs without
+``np.errstate``, and neither the product nor the prefixes are tested.
+Every other input takes the checked path, with the same bits.
 """
 
 from collections.abc import Sequence
@@ -78,16 +85,25 @@ class _Prefixes(Sequence):
 
     J[1] is the identity and J[L] is ``full`` when the output-end product
     gave it (``None`` otherwise). Every other entry is built on first
-    access, input-to-output through the factors, and kept: each new
-    prefix is checked, and NonFiniteError names the first layer whose
-    prefix overflows. Without ``full``, J[L] is the last built prefix.
-    Concurrent readers may build a prefix twice; both get the same values.
+    access, input-to-output through the factors, and kept. When
+    ``checked``, each new prefix is checked, and NonFiniteError names the
+    first layer whose prefix overflows; otherwise the input is below the
+    model's safe input, where no prefix can. Without ``full``, J[L] is the
+    last built prefix. Concurrent readers may build a prefix twice; both
+    get the same values.
     """
 
-    def __init__(self, input_dim: int, factors: tuple[tuple[np.ndarray, np.ndarray], ...], full: np.ndarray | None):
+    def __init__(
+        self,
+        input_dim: int,
+        factors: tuple[tuple[np.ndarray, np.ndarray], ...],
+        full: np.ndarray | None,
+        checked: bool,
+    ):
         self._input_dim = input_dim
         self._factors = factors
         self._full = full
+        self._checked = checked
         self._identity = None
         self._built: list[np.ndarray] = []
 
@@ -105,21 +121,28 @@ class _Prefixes(Sequence):
                 self._identity = _freeze(np.eye(self._input_dim))
             return self._identity
         if len(self._built) < index:
-            # extend a copy, and keep it only once every new prefix has passed its check
-            built = list(self._built)
-            with np.errstate(over="ignore", invalid="ignore"):
-                for net_layer in range(len(built) + 2, index + 2):
-                    slope, linear = self._factors[net_layer - 2]
-                    if built:
-                        jac = _left(slope, linear, built[-1])
-                    else:
-                        jac = _dense(slope, linear)
-                        jac += 0.0  # F I_m is F + 0, which only turns -0 into +0
-                    if not _all_finite(jac):
-                        raise NonFiniteError(f"non-finite Jacobian entries at layer {net_layer}")
-                    built.append(_freeze(jac))
-            self._built = built
+            if self._checked:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    self._built = self._extended(index)
+            else:
+                self._built = self._extended(index)
         return self._built[index - 1]
+
+    def _extended(self, index: int) -> list[np.ndarray]:
+        """A copy of the built prefixes extended to J[index + 1], every new prefix checked when ``checked``:
+        the copy is kept only once every new prefix has passed."""
+        built = list(self._built)
+        for net_layer in range(len(built) + 2, index + 2):
+            slope, linear = self._factors[net_layer - 2]
+            if built:
+                jac = _left(slope, linear, built[-1])
+            else:
+                jac = _dense(slope, linear)
+                jac += 0.0  # F I_m is F + 0, which only turns -0 into +0
+            if self._checked and not _all_finite(jac):
+                raise NonFiniteError(f"non-finite Jacobian entries at layer {net_layer}")
+            built.append(_freeze(jac))
+        return built
 
 
 @dataclass(frozen=True)
@@ -146,6 +169,33 @@ class JacobianTrace:
         return len(self.per_layer)
 
 
+def _pass(model: LayeredModel, vec: np.ndarray, counter: EvalCounter | None):
+    """The value pass with each layer's factor, and the output-end product (None for one factor), unchecked."""
+    factors: list[tuple[np.ndarray, np.ndarray]] = []
+    activations = [vec]
+    weighted_inputs: list[np.ndarray] = []
+    hits: list[tuple[int, int]] = []
+    for net_layer, layer, z, a in _layer_values(model, vec, counter):
+        try:
+            slope, layer_hits = _slope(layer.activation, z, a)
+        except SingularityError as exc:
+            raise SingularityError(f"layer {net_layer}: {exc}", layer=net_layer, coordinate=exc.coordinate) from None
+        if layer_hits:
+            hits.extend((net_layer, coord) for coord in layer_hits)
+        factors.append((slope, layer.linear_part()))
+        weighted_inputs.append(_freeze(z))
+        activations.append(_freeze(a))
+
+    product = None
+    # a chain of one factor is J[2] = F[2] + 0, which _Prefixes builds
+    if len(factors) > 1:
+        product = _dense(*factors[-1])
+        for slope, linear in reversed(factors[:-1]):
+            product = _right(product, slope, linear)
+        _freeze(product)
+    return tuple(factors), tuple(activations), tuple(weighted_inputs), tuple(hits), product
+
+
 def jacobian_forward(model: LayeredModel, x, counter: EvalCounter | None = None) -> JacobianTrace:
     """Compute the full Jacobian at x from one value pass.
 
@@ -156,48 +206,25 @@ def jacobian_forward(model: LayeredModel, x, counter: EvalCounter | None = None)
     pass come first, in layer order; the Jacobian is checked after the
     last layer.
     """
-    vec = _freeze(_checked_input(model, x))
-    factors: list[tuple[np.ndarray, np.ndarray]] = []
-    activations = [vec]
-    weighted_inputs: list[np.ndarray] = []
-    hits: list[tuple[int, int]] = []
-
-    # one errstate for the whole pass: the value pass and the product report overflow themselves
-    with np.errstate(over="ignore", invalid="ignore"):
-        for net_layer, layer, z, a in _layer_values(model, vec, counter):
-            try:
-                slope, layer_hits = _slope(layer.activation, z, a)
-            except SingularityError as exc:
-                raise SingularityError(
-                    f"layer {net_layer}: {exc}", layer=net_layer, coordinate=exc.coordinate
-                ) from None
-            if layer_hits:
-                hits.extend((net_layer, coord) for coord in layer_hits)
-            factors.append((slope, layer.linear_part()))
-            weighted_inputs.append(_freeze(z))
-            activations.append(_freeze(a))
-
-        factors = tuple(factors)
-        full = None
-        # a chain of one factor is J[2] = F[2] + 0, which _Prefixes builds
-        if len(factors) > 1:
-            product = _dense(*factors[-1])
-            for slope, linear in reversed(factors[:-1]):
-                product = _right(product, slope, linear)
-            if _all_finite(product):
-                full = _freeze(product)
-    per_layer = _Prefixes(model.input_dim, factors, full)
-    if full is None:
-        # one factor, or the output-first product overflowed: name the layer the
-        # input-to-output order overflows at; if it does not, its product is the answer
-        full = per_layer[-1]
-
+    vec, safe = _checked_input(model, x)
+    vec = _freeze(vec)
+    if safe:
+        factors, activations, weighted_inputs, hits, product = _pass(model, vec, counter)
+    else:
+        # the value pass and the product report overflow themselves
+        with np.errstate(over="ignore", invalid="ignore"):
+            factors, activations, weighted_inputs, hits, product = _pass(model, vec, counter)
+        if product is not None and not _all_finite(product):
+            product = None
+    per_layer = _Prefixes(model.input_dim, factors, product, checked=not safe)
     return JacobianTrace(
-        full=full,
+        # without the product (one factor, or it overflowed), J[L] builds the prefixes input-to-output:
+        # it names the layer that order overflows at or, if it does not, its product is the answer
+        full=per_layer[-1] if product is None else product,
         per_layer=per_layer,
-        activations=tuple(activations),
-        weighted_inputs=tuple(weighted_inputs),
-        singular_hits=tuple(hits),
+        activations=activations,
+        weighted_inputs=weighted_inputs,
+        singular_hits=hits,
     )
 
 

@@ -60,9 +60,8 @@ _BLOCK_BYTES = 1 << 20
 
 def _block_columns(model: LayeredModel) -> int:
     """How many probes one block holds: the pass over one column keeps at most every
-    layer's input (bias row included), z and a, of 8 bytes each."""
-    per_column = 8 * sum(layer.weights.shape[1] + 2 * layer.output_dim for layer in model.layers)
-    return max(1, _BLOCK_BYTES // per_column)
+    layer's input (bias row included), z and a, of 8 bytes each, which the model counted when it was built."""
+    return max(1, _BLOCK_BYTES // model._column_bytes)
 
 
 def _probe_output(model: LayeredModel, vec: np.ndarray, counter, probe: str) -> np.ndarray:
@@ -125,7 +124,7 @@ def finite_difference_jacobian(
     finite probe outputs differ by more than float64 can hold.
     """
     cfg = _DEFAULT_CONFIG if cfg is None else cfg
-    vec = _checked_input(model, x)
+    vec, _ = _checked_input(model, x)
     h = cfg.step
     m = vec.shape[0]
     # every probe reports its own overflow, and the estimate is checked as a whole
@@ -200,7 +199,7 @@ def compare_jacobians(a, b, tolerance: float) -> ComparisonResult:
     # the first largest entry in row-major order, as np.unravel_index(np.argmax(diff), shape) gives it
     row, col = divmod(int(diff.argmax()), diff.shape[1])
     max_abs = float(diff[row, col])
-    max_rel = float((diff / (1.0 + np.abs(mat_a))).max())
+    max_rel = float(np.maximum.reduce(diff / (1.0 + np.abs(mat_a)), axis=None))
     return ComparisonResult(
         max_abs_diff=max_abs,
         max_rel_diff=max_rel,

@@ -9,14 +9,23 @@ loading, validation) use the 1-based list position instead.
 Biases are supported only in folded form: a folded layer stores the
 augmented matrix (bias as the last column) and applies it to its input
 extended by a constant 1. See :func:`fold_bias`.
+
+A model checks its structure once, when it is built, and in the same walk
+over the layers computes its safe input: the largest max|x| below which
+no value and no Jacobian product of a pass can overflow, from the layer
+norm product ||J|| <= prod kappa_l ||W_l|| (Szegedy et al., ICLR 2014;
+Virmaux & Scaman, NeurIPS 2018). A pass over an input below it runs
+without ``np.errstate`` and skips the Jacobian's overflow tests, which
+cannot fail there (see :func:`_survey`).
 """
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activations import ActivationSpec, _all_finite, _as_finite_vector, _as_real, activation_apply
+from .activations import ActivationSpec, _as_finite_vector, _as_real, _norms, activation_apply
 from .errors import DimensionMismatchError, ModelValidationError, NonFiniteError
 from .instrumentation import EvalCounter
 
@@ -37,6 +46,7 @@ class LayerDef:
     weights: np.ndarray
     activation: ActivationSpec
     bias_folded: bool = False
+    _linear: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         try:
@@ -49,6 +59,7 @@ class LayerDef:
             raise TypeError("activation must be an ActivationSpec")
         object.__setattr__(self, "weights", _freeze(w))
         object.__setattr__(self, "bias_folded", bool(self.bias_folded))
+        object.__setattr__(self, "_linear", w[:, :-1] if self.bias_folded else w)
 
     @property
     def output_dim(self) -> int:
@@ -56,7 +67,7 @@ class LayerDef:
 
     def linear_part(self) -> np.ndarray:
         """Weight matrix without the folded-bias column, for differentiation."""
-        return self.weights[:, :-1] if self.bias_folded else self.weights
+        return self._linear
 
 
 @dataclass(frozen=True)
@@ -72,6 +83,9 @@ class LayeredModel:
     layers: tuple[LayerDef, ...]
     input_dim: int
     _violations: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    # see _survey
+    _safe_input: float = field(init=False, compare=False, repr=False)
+    _column_bytes: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         layers = tuple(self.layers)
@@ -87,7 +101,10 @@ class LayeredModel:
             raise ValueError("input_dim must be a positive integer")
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "input_dim", int(self.input_dim))
-        object.__setattr__(self, "_violations", tuple(_find_violations(self)))
+        violations, safe_input, column_bytes = _survey(self)
+        object.__setattr__(self, "_violations", violations)
+        object.__setattr__(self, "_safe_input", safe_input)
+        object.__setattr__(self, "_column_bytes", column_bytes)
 
     @property
     def layer_count(self) -> int:
@@ -139,21 +156,55 @@ def fold_bias(weights, bias) -> np.ndarray:
     return np.hstack([w, b[:, np.newaxis]])
 
 
-def _find_violations(model: LayeredModel) -> list[str]:
-    """Check the structural invariants once, for the verdict :func:`validate_model` reports."""
+# no value and no Jacobian product of a pass leaves float64 (2^1024) while its bound stays below this one:
+# the 2^24 margin covers the rounding of every sum, in any order, and of the bound itself
+_LIMIT = 2.0**1000
+
+
+def _survey(model: LayeredModel) -> tuple[tuple[str, ...], float, int]:
+    """One walk over the layers: the structural violations, the safe input and FD's bytes per probe.
+
+    The violations are the verdict :func:`validate_model` reports. The
+    safe input is the largest max|x| at which no value, weighted input or
+    Jacobian product of a pass can exceed 2^1000, and 0.0 where no input
+    is safe or the model is invalid. A layer's largest absolute row sum is
+    at most rho = n max|w| over its n columns, the bias column counted,
+    and at most rho' = (n - 1) max|w| without a folded bias column (rho'
+    = rho for a layer without one). One reduction per layer gives both,
+    and it is the finiteness test the walk makes anyway:
+
+    - every weighted input is at most max(max|x|, 1) times the product of
+      rho max(1, g) over the layers since the last tanh, logistic or
+      softmax (after which a value is at most 1), and every value at most
+      max(1, g) times its weighted input (the activation table's g);
+    - every prefix, every partial product of the output-end fold and every
+      product on the way (W J, C D) is at most the product of
+      max(1, kappa) max(1, rho') over the layers (the table's slope norm
+      kappa): the one bound that does not depend on x.
+
+    The bytes per probe are what the value pass over one column keeps:
+    every layer's input (bias row included), z and a, of 8 bytes each.
+    """
     if not model.layers:
-        return ["model has no layers; at least one weight layer is required"]
+        return ("model has no layers; at least one weight layer is required",), 0.0, 0
     violations: list[str] = []
     prev_size = model.input_dim
     prev_name = f"input_dim {model.input_dim}"
+    # the bound so far: jacobian on every product; on the values, reach times max(max|x|, 1) while scaled,
+    # and reach alone once a layer has bounded its values by 1
+    safe, jacobian, reach, scaled = math.inf, 1.0, 1.0, True
+    column_bytes = 0
     for pos, layer in enumerate(model.layers, start=1):
         rows, cols = layer.weights.shape
+        column_bytes += 8 * (cols + 2 * rows)
         if rows < 1 or cols < 1:
             violations.append(
                 f"layer {pos}: weight matrix must have at least one row and one column, got {rows}x{cols}"
             )
         else:
-            if not _all_finite(layer.weights):
+            # NaN or inf exactly when a weight is, so it is the finiteness test too
+            peak = float(np.maximum.reduce(np.abs(layer.weights), axis=None))
+            if not math.isfinite(peak):
                 violations.append(f"layer {pos}: weights contain non-finite entries")
             expected = prev_size + (1 if layer.bias_folded else 0)
             if cols != expected:
@@ -161,7 +212,25 @@ def _find_violations(model: LayeredModel) -> list[str]:
                 violations.append(f"layer {pos}: weight column count {cols} does not match {prev_name}{suffix}")
         prev_size = rows
         prev_name = f"layer {pos} output size {rows}"
-    return violations
+        if violations:
+            continue
+        rho = cols * peak
+        rho_linear = (cols - 1) * peak if layer.bias_folded else rho
+        growth, kappa = _norms(layer.activation)
+        jacobian *= max(1.0, kappa) * max(1.0, rho_linear)
+        top = rho * reach * (1.0 if growth is None else growth)
+        if scaled:
+            if top > 0.0:
+                safe = min(safe, _LIMIT / top)
+        elif top > _LIMIT:
+            safe = 0.0
+        if growth is None:
+            reach, scaled = 1.0, False
+        else:
+            reach *= max(1.0, growth * rho)
+    if violations or jacobian > _LIMIT or safe < 1.0:
+        safe = 0.0
+    return tuple(violations), safe, column_bytes
 
 
 def validate_model(model: LayeredModel) -> list[str]:
@@ -177,13 +246,24 @@ def _validated(model: LayeredModel) -> LayeredModel:
     return model
 
 
-def _checked_input(model: LayeredModel, x) -> np.ndarray:
-    """Refuse an invalid model and coerce x to a checked, fresh vector: the boundary of every pass."""
-    input_dim = _validated(model).input_dim
-    arr = _as_finite_vector(x, "input", DimensionMismatchError).copy()
-    if arr.shape[0] != input_dim:
-        raise DimensionMismatchError(f"input length {arr.shape[0]} does not match model input_dim {input_dim}")
-    return arr
+def _checked_input(model: LayeredModel, x) -> tuple[np.ndarray, bool]:
+    """Refuse an invalid model and coerce x to a checked, fresh vector: the boundary of every pass.
+
+    Also says whether max|x| is below the model's safe input, where no
+    value and no Jacobian product of the pass can overflow (see _survey).
+    """
+    model = _validated(model)
+    arr = _as_real(x, "input")
+    if arr.ndim != 1:
+        raise DimensionMismatchError(f"input must be a 1-D vector, got shape {arr.shape}")
+    # max|x| is NaN or inf exactly when an entry is, so it is the finiteness test too; an empty input goes
+    # on to its length error
+    peak = np.maximum.reduce(np.abs(arr)) if arr.size else 0.0
+    if not math.isfinite(peak):
+        raise NonFiniteError("input contains non-finite entries")
+    if arr.shape[0] != model.input_dim:
+        raise DimensionMismatchError(f"input length {arr.shape[0]} does not match model input_dim {model.input_dim}")
+    return arr.copy(), peak < model._safe_input
 
 
 def _checked_layer(layer, low: int, high: int) -> int:
@@ -208,10 +288,12 @@ def _layer_values(model: LayeredModel, vec: np.ndarray, counter: EvalCounter | N
     counts k evaluations. On a vector the pass is what it is for one
     instance, bit for bit. It is lazy, so a consumer's own error at layer l
     (a relu kink under ``reject``) still comes before anything at layer
-    l+1. Each z and a is checked once, as a whole, by ``activation_apply``;
-    errors name network layers (2..L), overflow included, so the consumer
-    reads it under ``np.errstate(over="ignore", invalid="ignore")``.
-    Assumes the model already validated and ``vec`` checked.
+    l+1. Each z (and a leaky_relu value with alpha > 1) is checked once,
+    as a whole, by ``activation_apply``; errors name network layers
+    (2..L), overflow included, so the consumer reads it under
+    ``np.errstate(over="ignore", invalid="ignore")``, unless the input is
+    below the model's safe input, where nothing overflows. Assumes the
+    model already validated and ``vec`` checked.
     """
     columns = 1 if vec.ndim == 1 else vec.shape[1]
     if counter is not None:
@@ -227,7 +309,7 @@ def _layer_values(model: LayeredModel, vec: np.ndarray, counter: EvalCounter | N
         if counter is not None:
             counter.count_weighted_input(columns)
         try:
-            a = activation_apply(layer.activation, z)  # checks z and a
+            a = activation_apply(layer.activation, z)  # checks z, and a where it can overflow
         except NonFiniteError:
             what = "activation" if np.isfinite(z).all() else "weighted input"
             raise NonFiniteError(f"non-finite {what} at layer {net_layer}") from None
@@ -236,7 +318,9 @@ def _layer_values(model: LayeredModel, vec: np.ndarray, counter: EvalCounter | N
 
 def forward(model: LayeredModel, x, counter: EvalCounter | None = None) -> list[np.ndarray]:
     """Evaluate the model, returning all activations a^[1..L] (last is y)."""
-    vec = _checked_input(model, x)
+    vec, safe = _checked_input(model, x)
+    if safe:
+        return [vec] + [a for _, _, _, a in _layer_values(model, vec, counter)]
     with np.errstate(over="ignore", invalid="ignore"):
         return [vec] + [a for _, _, _, a in _layer_values(model, vec, counter)]
 

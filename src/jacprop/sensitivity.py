@@ -53,10 +53,10 @@ def _scaled_norms(matrix: np.ndarray, axis: int, name: str) -> np.ndarray:
     one neither overflows nor underflows. NonFiniteError names the first
     score beyond float64.
     """
-    exponents = np.frexp(np.abs(matrix).max(axis=axis, keepdims=True))[1]
+    exponents = np.frexp(np.maximum.reduce(np.abs(matrix), axis=axis, keepdims=True))[1]
     scaled = np.ldexp(matrix, -exponents)
     with np.errstate(over="ignore"):
-        scores = np.ldexp(np.sqrt((scaled * scaled).sum(axis=axis)), exponents.squeeze(axis))
+        scores = np.ldexp(np.sqrt(np.add.reduce(scaled * scaled, axis=axis)), exponents.squeeze(axis))
     beyond = np.flatnonzero(~np.isfinite(scores))
     if beyond.size:
         raise NonFiniteError(f"{name} {beyond[0] + 1} has a sensitivity score beyond float64's range")
@@ -82,14 +82,14 @@ def build_report(jacobian, same_unit: bool = False) -> SensitivityReport:
         raise DimensionMismatchError(f"jacobian must have at most 2 dimensions, got shape {matrix.shape}")
     if matrix.size == 0:
         raise DimensionMismatchError(f"jacobian of shape {matrix.shape} has no entries to rank")
-    peak = float(np.abs(matrix).max())  # NaN or inf when an entry is
+    peak = float(np.maximum.reduce(np.abs(matrix), axis=None))  # NaN or inf when an entry is
     if not math.isfinite(peak):
         raise NonFiniteError("jacobian contains non-finite entries")
     if peak * peak * max(matrix.shape) < _PLAIN_LIMIT:
         # np.linalg.norm(matrix, axis=k) is sqrt of the sum of squares along k, and this squares once for both
         squares = matrix * matrix
-        feature_scores = np.sqrt(squares.sum(axis=0))
-        output_scores = np.sqrt(squares.sum(axis=1))
+        feature_scores = np.sqrt(np.add.reduce(squares, axis=0))
+        output_scores = np.sqrt(np.add.reduce(squares, axis=1))
     else:
         feature_scores = _scaled_norms(matrix, 0, "feature")
         output_scores = _scaled_norms(matrix, 1, "output")

@@ -48,6 +48,13 @@ def overflowing_activation_model():
     return LayeredModel(layers=(layer,), input_dim=1)
 
 
+def uncertified(model):
+    """The same model with no input below its safe input, so that every pass takes the checked path."""
+    copy = LayeredModel(layers=model.layers, input_dim=model.input_dim)
+    object.__setattr__(copy, "_safe_input", 0.0)
+    return copy
+
+
 def random_smooth_model(seed, softmax_last="maybe", min_depth=2, max_depth=5):
     """Random model per the oracle-equivalence recipe, plus a random input.
 

@@ -8,11 +8,15 @@ from jacprop import (
     ActivationSpec,
     ELEMENTWISE_KINDS,
     KINDS,
+    LayerDef,
+    LayeredModel,
     NonFiniteError,
     SingularityError,
     activation_apply,
     activation_jacobian,
     elementwise_derivative,
+    forward,
+    jacobian_forward,
     softmax,
     softmax_jacobian,
 )
@@ -211,6 +215,60 @@ class TestSoftmaxProperties:
         for fn in (lambda v: activation_apply(ActivationSpec("softmax"), v), softmax_jacobian):
             with pytest.raises(NonFiniteError, match="^activation input contains non-finite entries$"):
                 fn(z)
+
+
+_LARGEST = 1.7976931348623157e308
+_EXTREME_Z = [
+    [_LARGEST], [-_LARGEST], [5e-324], [-5e-324], [0.0], [-0.0],
+    [_LARGEST, -_LARGEST, 5e-324, -0.0], [-5e-324, 0.0, -_LARGEST, _LARGEST, 1.0],
+]
+# every kind, and leaky_relu on both sides of alpha = 1
+_RULE_SPECS = [make_spec(kind) for kind in sorted(KINDS - {"leaky_relu"})] + [
+    ActivationSpec("leaky_relu", alpha=alpha) for alpha in (0.0, 0.5, 1.0, 2.0)
+]
+
+
+class TestValueRule:
+    """Only leaky_relu with alpha > 1 can turn a finite z into a non-finite value."""
+
+    @pytest.mark.parametrize("spec", _RULE_SPECS, ids=lambda spec: f"{spec.kind}-{spec.alpha}")
+    def test_a_finite_z_has_a_finite_value(self, spec):
+        grows = spec.alpha is not None and spec.alpha > 1.0
+        for z in _EXTREME_Z:
+            if grows and min(z) * spec.alpha < -_LARGEST:
+                continue  # alpha z leaves float64: the next test
+            for arr in (np.array(z), np.array(z)[:, np.newaxis], np.array([z, z[::-1]]).T):
+                assert np.isfinite(activation_apply(spec, arr)).all(), (spec, z)
+
+    def test_only_a_leaky_relu_above_one_enters_an_errstate(self, monkeypatch):
+        entered = []
+        errstate = np.errstate
+
+        def counting(**kwargs):
+            entered.append(kwargs)
+            return errstate(**kwargs)
+
+        monkeypatch.setattr(np, "errstate", counting)
+        z = np.array([1e300, -3.0, 0.0, 2.5])
+        for spec in _RULE_SPECS:
+            entered.clear()
+            activation_apply(spec, z)
+            assert len(entered) == (1 if spec.alpha == 2.0 else 0), spec
+        # softmax enters one only where the shift by the maximum leaves float64
+        entered.clear()
+        activation_apply(ActivationSpec("softmax"), [1e308, -1e308])
+        assert len(entered) == 1
+
+    def test_a_leaky_relu_above_one_still_refuses_an_overflowing_value(self):
+        spec = ActivationSpec("leaky_relu", alpha=2.0)
+        with pytest.raises(NonFiniteError, match="^activation value contains non-finite entries$"):
+            activation_apply(spec, [-1e308])
+        with pytest.raises(NonFiniteError, match="^activation value contains non-finite entries$"):
+            activation_apply(spec, np.array([[1.0, -1e308]]))
+        model = LayeredModel(layers=(LayerDef(weights=np.ones((1, 1)), activation=spec),), input_dim=1)
+        for run in (forward, jacobian_forward):
+            with pytest.raises(NonFiniteError, match="^non-finite activation at layer 2$"):
+                run(model, [-1e308])
 
 
 class TestZeroPolicies:

@@ -24,7 +24,14 @@ from jacprop import (
     prefix_model,
     suffix_model,
 )
-from helpers import overflowing_activation_model, random_smooth_model, seeded_model, spec_seed7_model, sweep_model
+from helpers import (
+    overflowing_activation_model,
+    random_smooth_model,
+    seeded_model,
+    spec_seed7_model,
+    sweep_model,
+    uncertified,
+)
 
 
 def _identity_model(matrices, input_dim):
@@ -422,8 +429,8 @@ def _folded_signed_zero_models():
         folded = LayeredModel(layers=tuple(layers), input_dim=model.input_dim)
         for point in (x, np.zeros_like(x), np.where(rng.random(x.shape) < 0.5, 0.0, x)):
             yield folded, point
-    # J[2] a 1x1 zero (relu off) meets a 1x1 negative weight: over an inner dimension of 1, .dot keeps the
-    # product's -0 and @ sums it into +0
+    # the relu's zero value, and J[2] a 1x1 zero (relu off), meet a 1x1 negative weight: over an inner
+    # dimension of 1, ndarray.dot keeps the product's -0 and @ sums it into +0, so the value pass uses @ there
     column = (np.array([[1.0]]), np.array([[-1.0]]), np.array([[0.5], [-0.25]]))
     kinds = ("relu", "identity", "tanh")
     layers = tuple(LayerDef(weights=w, activation=ActivationSpec(kind)) for w, kind in zip(column, kinds))
@@ -454,7 +461,8 @@ def _pass_with(model, trace, matmul):
 
 
 class TestProductsKeepTheBitsOfMatmul:
-    """The pass multiplies through ndarray.dot only where it gives the bits of @."""
+    """Every product of the pass gives the bits of @: the value pass multiplies the weighted inputs
+    through ndarray.dot only where it gives them, and the prefixes and the fold multiply with @."""
 
     def test_pass_and_folds_are_the_matmul_formulas_bit_for_bit(self):
         for model, x in _folded_signed_zero_models():
@@ -528,3 +536,107 @@ class TestPrefixes:
                         assert np.array_equal(matrix, expected[index])
         finally:
             sys.setswitchinterval(interval)
+
+
+# the largest absolute row sum of each kind's slope (the activation's Jacobian), for any z
+_SLOPE_NORMS = {"identity": 1.0, "logistic": 0.25, "tanh": 1.0, "softplus": 1.0, "relu": 1.0, "softmax": 0.5}
+
+
+def _jacobian_bounds(model):
+    """||J[l]||_inf <= prod over layers 2..l of kappa ||W_l||_inf, the bias column left out."""
+    bounds, bound = [1.0], 1.0
+    for layer in model.layers:
+        spec = layer.activation
+        kappa = max(1.0, spec.alpha) if spec.kind == "leaky_relu" else _SLOPE_NORMS[spec.kind]
+        bound *= kappa * np.abs(layer.linear_part()).sum(axis=1).max()
+        bounds.append(bound)
+    return bounds
+
+
+def _bound_models():
+    """Acceptance criterion 1's models, and the sweep's of every kind with folded biases and softmax anywhere."""
+    for seed in range(200):
+        yield random_smooth_model(seed)
+    for seed in range(400):
+        yield sweep_model(seed)
+
+
+class TestSafeInput:
+    def test_inputs_just_below_the_safe_input_never_overflow(self):
+        certified = 0
+        for model, x in _bound_models():
+            safe = model._safe_input
+            assert safe > 0.0
+            certified += 1
+            peak = np.max(np.abs(x))
+            unit = x / peak if peak > 0.0 else np.ones_like(x)
+            scaled = unit * (safe * (1.0 - 2.0**-20) if np.isfinite(safe) else 1e300)
+            assert np.max(np.abs(scaled)) < safe
+            for point in (x, scaled):
+                # nothing in the pass may overflow, or make a NaN, not even where no errstate would see it
+                with np.errstate(over="raise", invalid="raise"):
+                    trace = jacobian_forward(model, point)
+                    prefixes = list(trace.per_layer)
+                    values = forward(model, point)
+                assert all(np.isfinite(a).all() for a in values + prefixes)
+                for prefix, bound in zip(prefixes, _jacobian_bounds(model)):
+                    assert np.abs(prefix).sum(axis=1).max() <= bound * (1.0 + 1e-12)
+        assert certified == 600
+
+    def test_the_certified_path_gives_the_checked_paths_bits(self):
+        for model, x in _bound_models():
+            checked = uncertified(model)
+            for point in (x, 1e-3 * x):
+                mine, theirs = jacobian_forward(model, point), jacobian_forward(checked, point)
+                for name in ("activations", "weighted_inputs", "per_layer"):
+                    assert [a.tobytes() for a in getattr(mine, name)] == [a.tobytes() for a in getattr(theirs, name)]
+                assert mine.full.tobytes() == theirs.full.tobytes()
+                assert mine.singular_hits == theirs.singular_hits
+                assert [a.tobytes() for a in forward(model, point)] == [a.tobytes() for a in forward(checked, point)]
+
+    def test_models_beyond_the_bound_keep_their_errors(self):
+        # J = 1e400 at layer 3, J[3] = 1e400 while full = 1e200, and z = 1e400 at layer 4: nothing is certified
+        chain2 = _identity_model([np.full((1, 1), 1e200)] * 2, input_dim=1)
+        chain3 = _identity_model([np.full((1, 1), 1e200)] * 3, input_dim=1)
+        for model in (chain2, chain3, _overflowing_prefix_model()):
+            assert model._safe_input == 0.0
+        with pytest.raises(NonFiniteError, match="^non-finite Jacobian entries at layer 3$"):
+            jacobian_forward(chain2, [1e-200])
+        with pytest.raises(NonFiniteError, match="^non-finite weighted input at layer 4$"):
+            jacobian_forward(chain3, [1e-200])
+        trace = jacobian_forward(_overflowing_prefix_model(), [1e-200, 0.0])
+        with pytest.raises(NonFiniteError, match="^non-finite Jacobian entries at layer 3$"):
+            trace.per_layer[2]
+
+    def test_a_bound_just_above_the_limit_certifies_nothing(self):
+        # 2^500 2^500 is the limit itself, and one ulp more on the second weight is past it
+        at_limit = _identity_model([np.full((1, 1), 2.0**500)] * 2, input_dim=1)
+        beyond = _identity_model([np.full((1, 1), 2.0**500), np.full((1, 1), 2.0**500 * (1 + 2.0**-52))], input_dim=1)
+        assert at_limit._safe_input == 1.0
+        assert beyond._safe_input == 0.0
+        with np.errstate(over="raise", invalid="raise"):
+            assert jacobian_forward(at_limit, [0.5]).full.tolist() == [[2.0**1000]]
+        assert jacobian_forward(beyond, [0.5]).full.tolist() == [[2.0**1000 * (1 + 2.0**-52)]]
+        # 2^30 is above either model's safe input: the checked path names the overflow as it always did
+        for model in (at_limit, beyond):
+            for run in (forward, jacobian_forward):
+                with pytest.raises(NonFiniteError, match="^non-finite weighted input at layer 3$"):
+                    run(model, [2.0**30])
+
+    def test_a_steep_leaky_relu_is_bounded_by_its_slope_alone(self):
+        # the fold multiplies C = F[4] = 2^500 by the slope 2^600 before the weight 2^-600 comes in: a bound of
+        # kappa rho = 1 for that layer would certify a pass whose product overflows, so the bound takes
+        # max(1, kappa) max(1, rho') and the checked path finds J = 2^950 input-to-output
+        steep = ActivationSpec("leaky_relu", alpha=2.0**600)
+        model = LayeredModel(
+            layers=(
+                LayerDef(weights=np.full((1, 1), 2.0**450), activation=ActivationSpec("identity")),
+                LayerDef(weights=np.full((1, 1), 2.0**-600), activation=steep),
+                LayerDef(weights=np.full((1, 1), 2.0**500), activation=ActivationSpec("identity")),
+            ),
+            input_dim=1,
+        )
+        assert model._safe_input == 0.0
+        trace = jacobian_forward(model, [-(2.0**-500)])
+        assert trace.full.tolist() == [[2.0**950]]
+        assert trace.per_layer[-1] is trace.full

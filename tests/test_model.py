@@ -16,6 +16,7 @@ from jacprop import (
     build_report,
     compare_jacobians,
     emit_matrix,
+    finite_difference_jacobian,
     fold_bias,
     forward,
     jacobian_forward,
@@ -24,7 +25,7 @@ from jacprop import (
     suffix_model,
     validate_model,
 )
-from helpers import flat_forward, seeded_model
+from helpers import flat_forward, random_smooth_model, seeded_model, uncertified
 
 
 def _model(shapes_and_kinds, input_dim, biased=()):
@@ -166,6 +167,13 @@ class TestForward:
         with pytest.raises(NonFiniteError):
             forward(model, [np.nan, 0.0])
 
+    def test_empty_input_is_a_length_mismatch(self):
+        # max|x| of no entries is no reduction numpy can take: the length rule names it
+        model = _model([(np.ones((1, 2)), "identity")], input_dim=2)
+        for run in (forward, jacobian_forward, finite_difference_jacobian):
+            with pytest.raises(DimensionMismatchError, match="^input length 0 does not match model input_dim 2$"):
+                run(model, np.array([]))
+
     def test_invalid_model_rejected(self):
         model = _model([(np.ones((1, 3)), "identity")], input_dim=2)
         with pytest.raises(ModelValidationError):
@@ -239,6 +247,68 @@ class TestTypes:
         assert "_violations" not in repr(model)
         with pytest.raises(ModelValidationError):
             forward(wider, [1.0, 2.0, 3.0])
+
+
+class TestSafeInput:
+    """The largest max|x| at which no value and no Jacobian product can pass 2^1000, fixed when a model is built."""
+
+    def test_values_grow_until_a_layer_bounds_them_by_one(self):
+        # 2 max(|x|, 1) <= 2^1000 for one identity layer of weight 2
+        assert _model([(np.full((1, 1), 2.0), "identity")], 1)._safe_input == 2.0**999
+        # softplus doubles a value above 1, leaky_relu grows it by alpha; the bias column counts for values
+        assert _model([(np.full((1, 1), 2.0), "softplus")], 1)._safe_input == 2.0**998
+        steep = ActivationSpec("leaky_relu", alpha=4.0)
+        leaky = LayeredModel(layers=(LayerDef(weights=[[2.0, 2.0]], activation=steep, bias_folded=True),), input_dim=1)
+        assert leaky._safe_input == 2.0**996
+        # after tanh a value is at most 1, and no later layer depends on x
+        for weight, safe in ((2.0**400, 2.0**997), (2.0**1001, 0.0)):
+            assert _model([(np.full((1, 1), 8.0), "tanh"), (np.full((1, 1), weight), "identity")], 1)._safe_input == safe
+        # a model whose weights are all zero is safe at every input
+        assert _model([(np.zeros((2, 2)), "relu")], 2)._safe_input == np.inf
+
+    def test_a_jacobian_beyond_the_limit_certifies_no_input(self):
+        # the bound takes max(1, kappa) max(1, rho') per layer: a slope norm of 1/4 (logistic) or 1/2
+        # (softmax) does not bring 2^600 2^600 under the limit
+        for kind in ("logistic", "softmax", "tanh"):
+            model = _model([(np.full((1, 1), 2.0**600), kind), (np.full((1, 1), 2.0**600), "identity")], 1)
+            assert model._safe_input == 0.0, kind
+        # tanh keeps every value within 1, so the Jacobian bound alone decides: 2^500 2^500 is the limit itself
+        at_limit = _model([(np.full((1, 1), 2.0**500), "tanh"), (np.full((1, 1), 2.0**500), "tanh")], 1)
+        beyond = _model([(np.full((1, 1), 2.0**500), "tanh"), (np.full((1, 1), 2.0**500 * (1 + 2.0**-52)), "tanh")], 1)
+        assert at_limit._safe_input == 2.0**500
+        assert beyond._safe_input == 0.0
+
+    def test_an_invalid_model_is_never_safe(self):
+        for model in (
+            _model([(np.ones((1, 3)), "identity")], 2),
+            _model([(np.array([[1.0, np.inf]]), "identity")], 2),
+            LayeredModel(layers=(), input_dim=2),
+        ):
+            assert validate_model(model) and model._safe_input == 0.0
+
+    def test_finite_weights_whose_row_sum_overflows_stay_valid(self):
+        model = _model([(np.full((1, 2), 1.7e308), "identity")], 2)
+        assert validate_model(model) == [] and model._safe_input == 0.0
+        assert forward(model, [0.0, 0.0])[-1].tolist() == [0.0]
+
+    def test_forward_below_the_safe_input_never_overflows(self):
+        for seed in range(100):
+            model, x = random_smooth_model(seed)
+            peak = np.max(np.abs(x))
+            point = x / peak * model._safe_input * (1.0 - 2.0**-20)
+            with np.errstate(over="raise", invalid="raise"):
+                values = forward(model, point)
+            assert all(np.isfinite(a).all() for a in values)
+            # the same bits as the checked path
+            assert [a.tobytes() for a in values] == [a.tobytes() for a in forward(uncertified(model), point)]
+
+    def test_above_the_safe_input_forward_names_the_overflow(self):
+        model = _model([(np.full((1, 1), 2.0), "identity"), (np.full((1, 1), 2.0**999), "identity")], 1)
+        assert model._safe_input == 1.0
+        assert forward(model, [0.75])[-1].tolist() == [1.5 * 2.0**999]
+        # 2^25 2 2^999 = 2^1025
+        with pytest.raises(NonFiniteError, match="^non-finite weighted input at layer 3$"):
+            forward(model, [2.0**25])
 
 
 _IDENTITY_2_TO_1 = LayeredModel(layers=(LayerDef(weights=[[1.0, 2.0]], activation=ActivationSpec("identity")),), input_dim=2)
