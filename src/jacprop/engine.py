@@ -34,22 +34,25 @@ accumulation of the chain rule, whatever the layer's shape.
 Once every factor is in, the chain is multiplied from the output end:
 F[L] is multiplied out and F[L-1], ..., F[2] are applied to it. For the
 models this serves, many input features and few outputs, that end is the
-cheaper one. The product is checked once, and only when it is not finite
-is the input-to-output order replayed, to name the first layer whose
-prefix overflows; if none does, that order's product is the answer. A
-chain of one factor is J[2] itself.
+cheaper one. A chain of one factor has no such product; its J[L] is
+J[2] itself.
 
-The prefixes have one owner, ``_Prefixes``: it builds them input-to-output
-on first access, checks each new one, and keeps them. The one-factor chain
-and the replay are both a read of its last entry, which builds, checks and
-keeps every prefix on the way.
+The prefixes have one owner, ``_Prefixes``: one slot per prefix, J[1]
+to J[L]. J[L]'s slot starts with the output-end product when it is
+finite, and ``full`` is always a read of that slot. Reading an empty
+slot fills every empty slot up to it input-to-output, tests each new
+prefix and keeps it. So when the product is not finite, or there is
+none, the read of J[L] replays the input-to-output order: it names the
+first layer whose prefix overflows or, if none does, that order's
+product is the answer.
 
-Every check above can fail only beyond the model's safe input, the bound
+Every test above can fail only beyond the model's safe input, the bound
 ``LayeredModel`` computes from its weights when it is built (see
 ``model._survey``): below it, no value and no product of the pass can
-leave float64. An input whose max|x| is below it runs without
-``np.errstate``, and neither the product nor the prefixes are tested.
-Every other input takes the checked path, with the same bits.
+leave float64, and neither the product nor the prefixes are tested. The
+pass and the slot fill run through ``model._guarded``, which enters
+``np.errstate`` only at or above the safe input. Either way the bits are
+the same.
 """
 
 from collections.abc import Sequence
@@ -61,7 +64,7 @@ import numpy as np
 from .activations import _all_finite, _slope, activation_apply  # noqa: F401
 from .errors import NonFiniteError, SingularityError
 from .instrumentation import EvalCounter
-from .model import LayeredModel, _checked_input, _checked_layer, _freeze, _layer_values
+from .model import LayeredModel, _checked_input, _checked_layer, _freeze, _guarded, _layer_values
 
 
 def _dense(slope: np.ndarray, linear: np.ndarray) -> np.ndarray:
@@ -81,68 +84,53 @@ def _right(c: np.ndarray, slope: np.ndarray, linear: np.ndarray) -> np.ndarray:
 
 
 class _Prefixes(Sequence):
-    """J[1], ..., J[L] as a read-only sequence, and the one owner of the prefixes built so far.
+    """J[1], ..., J[L] as a read-only sequence: one slot per prefix, and the one owner of them.
 
-    J[1] is the identity and J[L] is ``full`` when the output-end product
-    gave it (``None`` otherwise). Every other entry is built on first
-    access, input-to-output through the factors, and kept. When
-    ``checked``, each new prefix is checked, and NonFiniteError names the
-    first layer whose prefix overflows; otherwise the input is below the
-    model's safe input, where no prefix can. Without ``full``, J[L] is the
-    last built prefix. Concurrent readers may build a prefix twice; both
-    get the same values.
+    J[1] is the identity, made on its first read. J[L] starts as the
+    output-end product when there is one and it is finite (below the
+    model's safe input it is not tested, since it cannot overflow).
+    Reading an empty slot fills every empty slot up to it, input-to-output
+    through the factors, and each slot keeps what it got. At or above the
+    safe input each new prefix is tested, and NonFiniteError names the
+    first layer whose prefix overflows; nothing past it is filled.
+    Concurrent readers may fill a slot twice; both get the same values.
     """
 
-    def __init__(
-        self,
-        input_dim: int,
-        factors: tuple[tuple[np.ndarray, np.ndarray], ...],
-        full: np.ndarray | None,
-        checked: bool,
-    ):
-        self._input_dim = input_dim
+    def __init__(self, factors: tuple[tuple[np.ndarray, np.ndarray], ...], product: np.ndarray | None, safe: bool):
         self._factors = factors
-        self._full = full
-        self._checked = checked
-        self._identity = None
-        self._built: list[np.ndarray] = []
+        self._safe = safe
+        self._slots: list[np.ndarray | None] = [None] * (len(factors) + 1)
+        if product is not None and (safe or _all_finite(product)):
+            self._slots[-1] = product
 
     def __len__(self) -> int:
-        return len(self._factors) + 1
+        return len(self._slots)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return tuple(self[i] for i in range(*index.indices(len(self))))
         index = range(len(self))[index]
-        if index == len(self) - 1 and self._full is not None:
-            return self._full
-        if index == 0:
-            if self._identity is None:
-                self._identity = _freeze(np.eye(self._input_dim))
-            return self._identity
-        if len(self._built) < index:
-            if self._checked:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    self._built = self._extended(index)
+        if self._slots[index] is None:
+            if index == 0:
+                # the first layer's weights, bias column dropped, have one column per input
+                self._slots[0] = _freeze(np.eye(self._factors[0][1].shape[1]))
             else:
-                self._built = self._extended(index)
-        return self._built[index - 1]
+                _guarded(self._safe, self._fill, index)
+        return self._slots[index]
 
-    def _extended(self, index: int) -> list[np.ndarray]:
-        """A copy of the built prefixes extended to J[index + 1], every new prefix checked when ``checked``:
-        the copy is kept only once every new prefix has passed."""
-        built = list(self._built)
-        for net_layer in range(len(built) + 2, index + 2):
-            slope, linear = self._factors[net_layer - 2]
-            if built:
-                jac = _left(slope, linear, built[-1])
-            else:
-                jac = _dense(slope, linear)
-                jac += 0.0  # F I_m is F + 0, which only turns -0 into +0
-            if self._checked and not _all_finite(jac):
-                raise NonFiniteError(f"non-finite Jacobian entries at layer {net_layer}")
-            built.append(_freeze(jac))
-        return built
+    def _fill(self, index: int) -> None:
+        """Fill the empty slots J[2] .. J[index + 1] in order, each new prefix tested at or above the safe input."""
+        for slot in range(1, index + 1):
+            if self._slots[slot] is None:
+                slope, linear = self._factors[slot - 1]
+                if slot == 1:
+                    jac = _dense(slope, linear)
+                    jac += 0.0  # F I_m is F + 0, which only turns -0 into +0
+                else:
+                    jac = _left(slope, linear, self._slots[slot - 1])
+                if not self._safe and not _all_finite(jac):
+                    raise NonFiniteError(f"non-finite Jacobian entries at layer {slot + 1}")
+                self._slots[slot] = _freeze(jac)
 
 
 @dataclass(frozen=True)
@@ -187,7 +175,7 @@ def _pass(model: LayeredModel, vec: np.ndarray, counter: EvalCounter | None):
         activations.append(_freeze(a))
 
     product = None
-    # a chain of one factor is J[2] = F[2] + 0, which _Prefixes builds
+    # a chain of one factor is J[2] = F[2] + 0, which _Prefixes fills
     if len(factors) > 1:
         product = _dense(*factors[-1])
         for slope, linear in reversed(factors[:-1]):
@@ -208,19 +196,12 @@ def jacobian_forward(model: LayeredModel, x, counter: EvalCounter | None = None)
     """
     vec, safe = _checked_input(model, x)
     vec = _freeze(vec)
-    if safe:
-        factors, activations, weighted_inputs, hits, product = _pass(model, vec, counter)
-    else:
-        # the value pass and the product report overflow themselves
-        with np.errstate(over="ignore", invalid="ignore"):
-            factors, activations, weighted_inputs, hits, product = _pass(model, vec, counter)
-        if product is not None and not _all_finite(product):
-            product = None
-    per_layer = _Prefixes(model.input_dim, factors, product, checked=not safe)
+    factors, activations, weighted_inputs, hits, product = _guarded(safe, _pass, model, vec, counter)
+    per_layer = _Prefixes(factors, product, safe)
     return JacobianTrace(
-        # without the product (one factor, or it overflowed), J[L] builds the prefixes input-to-output:
+        # without a finite product (one factor, or it overflowed), reading J[L] fills every prefix input-to-output:
         # it names the layer that order overflows at or, if it does not, its product is the answer
-        full=per_layer[-1] if product is None else product,
+        full=per_layer[-1],
         per_layer=per_layer,
         activations=activations,
         weighted_inputs=weighted_inputs,

@@ -14,9 +14,10 @@ A model checks its structure once, when it is built, and in the same walk
 over the layers computes its safe input: the largest max|x| below which
 no value and no Jacobian product of a pass can overflow, from the layer
 norm product ||J|| <= prod kappa_l ||W_l|| (Szegedy et al., ICLR 2014;
-Virmaux & Scaman, NeurIPS 2018). A pass over an input below it runs
-without ``np.errstate`` and skips the Jacobian's overflow tests, which
-cannot fail there (see :func:`_survey`).
+Virmaux & Scaman, NeurIPS 2018). A pass over an input below it skips
+the Jacobian's overflow tests, which cannot fail there (see
+:func:`_survey`). One helper, :func:`_guarded`, runs every pass: a plain
+call below the safe input, and under ``np.errstate`` at or above it.
 """
 
 import math
@@ -290,10 +291,10 @@ def _layer_values(model: LayeredModel, vec: np.ndarray, counter: EvalCounter | N
     (a relu kink under ``reject``) still comes before anything at layer
     l+1. Each z (and a leaky_relu value with alpha > 1) is checked once,
     as a whole, by ``activation_apply``; errors name network layers
-    (2..L), overflow included, so the consumer reads it under
-    ``np.errstate(over="ignore", invalid="ignore")``, unless the input is
-    below the model's safe input, where nothing overflows. Assumes the
-    model already validated and ``vec`` checked.
+    (2..L), overflow included, so the consumer reads it through
+    :func:`_guarded`, which silences numpy's overflow warnings only where
+    something can overflow. Assumes the model already validated and
+    ``vec`` checked.
     """
     columns = 1 if vec.ndim == 1 else vec.shape[1]
     if counter is not None:
@@ -316,13 +317,25 @@ def _layer_values(model: LayeredModel, vec: np.ndarray, counter: EvalCounter | N
         yield net_layer, layer, z, a
 
 
+def _guarded(safe: bool, fn, *args):
+    """fn(*args), with numpy's overflow warnings silenced only where something can overflow.
+
+    A plain call when the input is below the model's safe input, where
+    nothing can (see :func:`_survey`); under ``np.errstate(over="ignore",
+    invalid="ignore")`` otherwise, where the pass's own tests name what
+    overflows (see :func:`_layer_values`).
+    """
+    if safe:
+        return fn(*args)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return fn(*args)
+
+
 def forward(model: LayeredModel, x, counter: EvalCounter | None = None) -> list[np.ndarray]:
     """Evaluate the model, returning all activations a^[1..L] (last is y)."""
     vec, safe = _checked_input(model, x)
-    if safe:
-        return [vec] + [a for _, _, _, a in _layer_values(model, vec, counter)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        return [vec] + [a for _, _, _, a in _layer_values(model, vec, counter)]
+    # the pass is lazy: list runs it inside the guard
+    return [vec] + [a for _, _, _, a in _guarded(safe, list, _layer_values(model, vec, counter))]
 
 
 def prefix_model(model: LayeredModel, layer: int) -> LayeredModel:

@@ -63,13 +63,34 @@ def _scaled_norms(matrix: np.ndarray, axis: int, name: str) -> np.ndarray:
     return scores
 
 
+# a plain score below this may have lost its vector's squares to underflow; from it up, their sum is at least
+# 2^-1020, a normal float64
+_TINY = 2.0**-510
+
+
+def _lifted(scores: np.ndarray, ranking: tuple[int, ...], matrix: np.ndarray, axis: int, name: str):
+    """The scores along ``axis`` with each one below 2^-510 taken from :func:`_scaled_norms`, and their ranking.
+
+    Unchanged when each such score's vector is all zero: its scaled score
+    is +0, as its plain one is.
+    """
+    low = scores < _TINY
+    # the score vectors run across the other axis of the matrix
+    if not np.count_nonzero(matrix.compress(low, axis=1 - axis)):
+        return scores, ranking
+    scores = np.where(low, _scaled_norms(matrix, axis, name), scores)
+    return scores, _rank(scores)
+
+
 def build_report(jacobian, same_unit: bool = False) -> SensitivityReport:
     """Column/row Euclidean norms of the Jacobian plus deterministic rankings.
 
     Raises :class:`DimensionMismatchError` for an array with more than 2
     dimensions or a matrix with no entries, and
     :class:`NonFiniteError` for one with a NaN or an infinity, or with a
-    score beyond float64's range, naming the axis and the index.
+    score beyond float64's range, naming the axis and the index. A score
+    below 2^-510 is a scaled norm, so it does not underflow where the
+    squares of its vector's entries do.
     ``same_unit`` must be a bool (ValueError otherwise), and complex
     entries raise ValueError.
     """
@@ -93,11 +114,17 @@ def build_report(jacobian, same_unit: bool = False) -> SensitivityReport:
     else:
         feature_scores = _scaled_norms(matrix, 0, "feature")
         output_scores = _scaled_norms(matrix, 1, "output")
+    feature_ranking, output_ranking = _rank(feature_scores), _rank(output_scores)
+    # a ranking ends at its smallest score: one lookup tells whether any score is that small
+    if feature_scores[feature_ranking[-1] - 1] < _TINY:
+        feature_scores, feature_ranking = _lifted(feature_scores, feature_ranking, matrix, 0, "feature")
+    if output_scores[output_ranking[-1] - 1] < _TINY:
+        output_scores, output_ranking = _lifted(output_scores, output_ranking, matrix, 1, "output")
     return SensitivityReport(
         feature_scores=_freeze(feature_scores),
         output_scores=_freeze(output_scores),
-        feature_ranking=_rank(feature_scores),
-        output_ranking=_rank(output_scores),
+        feature_ranking=feature_ranking,
+        output_ranking=output_ranking,
         per_entry=_freeze(matrix.copy()),
         same_unit=bool(same_unit),
     )

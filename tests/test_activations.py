@@ -100,6 +100,12 @@ class TestJacobian:
         assert np.array_equal(result.matrix, np.diag([0.0, 1.0, 0.0]))
         assert result.singular_hit is True
 
+    def test_elementwise_derivative_takes_an_elementwise_vector(self):
+        with pytest.raises(ValueError, match=r"^activation input must be a 1-D vector, got shape \(2, 2\)$"):
+            elementwise_derivative(ActivationSpec("tanh"), np.ones((2, 2)))
+        with pytest.raises(ValueError, match="^'softmax' is not an elementwise activation$"):
+            elementwise_derivative(ActivationSpec("softmax"), [1.0, 2.0])
+
     def test_leaky_relu_slope_is_finite_where_its_value_overflows(self):
         spec = ActivationSpec("leaky_relu", alpha=1e300)
         deriv, hits = elementwise_derivative(spec, [-1e10])

@@ -503,6 +503,31 @@ class TestPrefixes:
             with pytest.raises(ValueError):
                 matrix[0, 0] = 1.0
 
+    def test_a_filled_slot_keeps_its_prefix_past_a_failed_read(self):
+        # J[2] is finite, J[3] overflows and J[4] = full is the finite output-end product
+        trace = jacobian_forward(_overflowing_prefix_model(), [1e-200, 0.0])
+        second = trace.per_layer[1]
+        for _ in range(2):
+            with pytest.raises(NonFiniteError, match="^non-finite Jacobian entries at layer 3$"):
+                trace.per_layer[2]
+        assert trace.per_layer[1] is second
+        assert trace.per_layer[-1] is trace.full
+
+    def test_reading_backwards_gives_the_objects_read_forwards(self):
+        def read(trace, index):
+            try:
+                return trace.per_layer[index]
+            except NonFiniteError as exc:
+                return str(exc)
+
+        trace = jacobian_forward(_overflowing_prefix_model(), [1e-200, 0.0])
+        backwards = [read(trace, index) for index in (3, 2, 1, 0)][::-1]
+        forwards = [read(trace, index) for index in (0, 1, 2, 3)]
+        assert backwards[2] == forwards[2] == "non-finite Jacobian entries at layer 3"
+        for index in (0, 1, 3):
+            assert backwards[index] is forwards[index]
+        assert forwards[3] is trace.full
+
     def test_trace_survives_pickling(self):
         model, x = spec_seed7_model()
         trace = jacobian_forward(model, x)

@@ -74,6 +74,9 @@ class TestLoadModel:
             (lambda d: d.update(input_dim=0), "input_dim"),
             (lambda d: d.update(input_dim=True), "input_dim"),
             (lambda d: d.update(layers={}), "layers"),
+            (lambda d: d.update(layers=[[1, 2]]), "^layer 1: must be an object$"),
+            (lambda d: d["layers"][0].update(weights=[]), "^layer 1: weights must be a non-empty array of rows$"),
+            (lambda d: d["layers"][0].update(activation="identity"), "^layer 1: activation must be an object$"),
             (lambda d: d["layers"][0].pop("weights"), "weights"),
             (lambda d: d["layers"][0].update(weights=[[]]), "weights"),
             (lambda d: d["layers"][0].update(weights=[[1, True]]), "numbers"),
@@ -238,6 +241,12 @@ class TestMatrixDump:
         with pytest.raises(FormatError, match="row 2"):
             parse_matrix("1,2\n3\n")
 
+    def test_matrix_rejects_empty_text_and_blank_lines(self):
+        with pytest.raises(FormatError, match="^empty CSV document$"):
+            parse_matrix("")
+        with pytest.raises(FormatError, match="^row 2: empty line inside CSV document$"):
+            parse_matrix("1\n\n2\n")
+
     def test_matrix_round_trips_trailing_newline(self):
         assert np.array_equal(parse_matrix("1,2\n3,4\n"), [[1.0, 2.0], [3.0, 4.0]])
 
@@ -264,6 +273,8 @@ class TestMatrixDump:
         assert text == "x1,x2\n1,2\n"
         with pytest.raises(ValueError):
             emit_matrix(np.array([[1.0]]), header=["a,b"])
+        with pytest.raises(ValueError, match="^1 header labels for 2 columns$"):
+            emit_matrix(np.array([[1.0, 2.0]]), header=["x1"])
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64), min_size=1, max_size=6))
     def test_values_round_trip_bit_exactly(self, values):

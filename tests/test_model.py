@@ -70,6 +70,12 @@ class TestValidateModel:
     def test_empty_model(self):
         model = LayeredModel(layers=(), input_dim=3)
         assert any("no layers" in v for v in validate_model(model))
+        assert model.output_dim == 3
+
+    def test_a_matrix_without_rows_is_named(self):
+        model = _model([(np.zeros((0, 2)), "identity")], input_dim=2)
+        assert validate_model(model) == ["layer 1: weight matrix must have at least one row and one column, got 0x2"]
+        assert model._safe_input == 0.0
 
     def test_non_finite_weights(self):
         model = _model([(np.array([[np.nan, 1.0]]), "identity")], input_dim=2)
@@ -97,6 +103,12 @@ class TestFoldBias:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             fold_bias([[1.0, 2.0]], [1.0, 2.0])
+
+    def test_shapes_are_a_matrix_and_a_vector(self):
+        with pytest.raises(DimensionMismatchError, match=r"^weights must be a 2-D matrix, got shape \(2,\)$"):
+            fold_bias([1.0, 2.0], [1.0])
+        with pytest.raises(DimensionMismatchError, match=r"^bias must be a 1-D vector, got shape \(1, 1\)$"):
+            fold_bias([[1.0, 2.0]], [[1.0]])
 
     @given(rows=st.integers(1, 5), cols=st.integers(1, 5), seed=st.integers(0, 999))
     def test_fold_appends_last_column(self, rows, cols, seed):
@@ -161,6 +173,8 @@ class TestForward:
         model = _model([(np.ones((1, 2)), "identity")], input_dim=2)
         with pytest.raises(DimensionMismatchError):
             forward(model, [1.0, 2.0, 3.0])
+        with pytest.raises(DimensionMismatchError, match=r"^input must be a 1-D vector, got shape \(1, 2\)$"):
+            forward(model, [[1.0, 2.0]])
 
     def test_non_finite_input_rejected(self):
         model = _model([(np.ones((1, 2)), "identity")], input_dim=2)
@@ -202,6 +216,14 @@ class TestTypes:
         with pytest.raises(ValueError):
             LayerDef(weights=[[1.0, 2.0], [3.0]], activation=ActivationSpec("identity"))
 
+    def test_a_layer_is_a_matrix_with_a_spec(self):
+        with pytest.raises(ValueError, match=r"^weights must be a 2-D matrix, got 1 dimension\(s\)$"):
+            LayerDef(weights=[1.0, 2.0], activation=ActivationSpec("identity"))
+        with pytest.raises(TypeError, match="^activation must be an ActivationSpec$"):
+            LayerDef(weights=[[1.0]], activation="identity")
+        with pytest.raises(TypeError, match="^layers must contain LayerDef values$"):
+            LayeredModel(layers=("x",), input_dim=1)
+
     def test_input_dim_must_be_positive(self):
         with pytest.raises(ValueError):
             LayeredModel(layers=(LayerDef(weights=[[1.0]], activation=ActivationSpec("identity")),), input_dim=0)
@@ -218,6 +240,15 @@ class TestTypes:
     def test_instance_vector_rejects_non_finite(self):
         with pytest.raises(NonFiniteError):
             InstanceVector(values=np.array([1.0, np.inf]))
+
+    def test_instance_vector_as_an_array(self):
+        instance = InstanceVector(values=[1.0, 2.0])
+        assert len(instance) == 2
+        assert np.asarray(instance) is instance.values
+        as_float32 = np.asarray(instance, dtype=np.float32)
+        assert as_float32.dtype == np.float32 and as_float32.tolist() == [1.0, 2.0]
+        copy = np.array(instance, copy=True)
+        assert copy is not instance.values and copy.flags.writeable and copy.tolist() == [1.0, 2.0]
 
     def test_prefix_suffix_ranges(self):
         model = seeded_model(1, (2, 3, 2), ("tanh", "tanh"))

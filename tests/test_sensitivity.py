@@ -85,10 +85,30 @@ class TestBuildReport:
 
 class TestScoresAreNumpysNorm:
     def test_scores_are_linalg_norm_bit_for_bit(self):
+        # from 2^-510 up; below it a nonzero vector's squares may have underflowed, and its score is the
+        # scaled norm, which math.hypot confirms
+        tiny = moved = 0
         for matrix in awkward_matrices(1):
             report = build_report(matrix)
-            assert report.feature_scores.tobytes() == np.linalg.norm(matrix, axis=0).tobytes()
-            assert report.output_scores.tobytes() == np.linalg.norm(matrix, axis=1).tobytes()
+            for scores, axis in ((report.feature_scores, 0), (report.output_scores, 1)):
+                vectors = matrix.T if axis == 0 else matrix
+                for score, norm, vector in zip(scores, np.linalg.norm(matrix, axis=axis), vectors):
+                    if norm >= 2.0**-510:
+                        assert score.tobytes() == norm.tobytes()
+                    else:
+                        assert abs(score - math.hypot(*vector)) <= 1e-15 * math.hypot(*vector)
+                        tiny += 1
+                        moved += score.tobytes() != norm.tobytes()
+        assert (tiny, moved) == (72, 51)
+
+    def test_squares_below_float64_keep_their_scores_and_ranking(self):
+        # 1e-200 squared underflows to 0; the scores are still the norms
+        report = build_report([[1e-200, 3e-200], [0.0, 0.0]])
+        assert report.feature_scores.tolist() == [1e-200, 3e-200]
+        assert report.feature_ranking == (2, 1)
+        assert report.output_scores[0] == pytest.approx(math.sqrt(10.0) * 1e-200, rel=1e-15, abs=0.0)
+        assert report.output_scores[1] == 0.0
+        assert report.output_ranking == (1, 2)
 
     def test_squares_beyond_float64_keep_their_scores_and_ranking(self):
         # 1e200 squared overflows; the scores are still the norms, without a numpy warning

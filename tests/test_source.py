@@ -94,3 +94,36 @@ def test_the_check_sees_a_dot_call():
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "model.py"], ids=lambda p: p.name)
 def test_no_dot_calls_outside_the_value_pass(path):
     assert dot_calls(path.read_text(encoding="utf-8")) == []
+
+
+# a pass silences invalid operations in one place, model._guarded, which knows when nothing can overflow;
+# fd.py keeps its own, since its probes step past x and its estimate divides by the spacing
+def errstate_invalid_calls(source: str) -> list[str]:
+    """Each call of an ``errstate`` attribute that passes ``invalid=``."""
+    found = [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "errstate"
+        and any(keyword.arg == "invalid" for keyword in node.keywords)
+    ]
+    return [f"line {line}: errstate(invalid=...)" for line in sorted(found)]
+
+
+def test_the_check_sees_an_errstate_with_invalid():
+    source = (
+        "import numpy as np\n"
+        "with np.errstate(over='ignore'):  # np.errstate(invalid='ignore') in a comment is not code\n"
+        "    pass\n"
+        "with np.errstate(over='ignore', invalid='ignore'):\n"
+        "    pass\n"
+        "with np.errstate(all='ignore'), numpy.errstate(invalid='raise'):\n"
+        "    pass\n"
+    )
+    assert errstate_invalid_calls(source) == ["line 4: errstate(invalid=...)", "line 6: errstate(invalid=...)"]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name not in ("model.py", "fd.py")], ids=lambda p: p.name)
+def test_no_errstate_with_invalid_outside_the_guard(path):
+    assert errstate_invalid_calls(path.read_text(encoding="utf-8")) == []
