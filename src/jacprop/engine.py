@@ -31,28 +31,28 @@ J[2] is F[2] multiplied out, plus 0 (what the product with I_m gives: a
 the weights meet the prefix first, then its rows are scaled, the forward
 accumulation of the chain rule, whatever the layer's shape.
 
-Once every factor is in, the chain is multiplied from the output end:
-F[L] is multiplied out and F[L-1], ..., F[2] are applied to it. For the
-models this serves, many input features and few outputs, that end is the
-cheaper one. A chain of one factor has no such product; its J[L] is
-J[2] itself.
+The whole Jacobian J = J[L] is multiplied from the output end: F[L] is
+multiplied out and F[L-1], ..., F[2] are applied to it, the cheaper end
+for the models this serves (many input features, few outputs). A chain
+of one factor has no such product; its J[L] is J[2].
 
 The prefixes have one owner, ``_Prefixes``: one slot per prefix, J[1]
-to J[L]. J[L]'s slot starts with the output-end product when it is
-finite, and ``full`` is always a read of that slot. Reading an empty
-slot fills every empty slot up to it input-to-output, tests each new
-prefix and keeps it. So when the product is not finite, or there is
-none, the read of J[L] replays the input-to-output order: it names the
-first layer whose prefix overflows or, if none does, that order's
-product is the answer.
+to J[L], each filled on its first read and kept. ``full`` is a read of
+J[L], so a trace read only for its prefixes never multiplies the
+output-end product. J[L] takes that product when it is finite. Reading
+any other empty slot, or J[L] without a finite product, fills every
+empty slot up to it input-to-output and tests each new prefix: J[L] then
+names the first layer whose prefix overflows or, if none does, is that
+order's product.
 
-Every test above can fail only beyond the model's safe input, the bound
-``LayeredModel`` computes from its weights when it is built (see
-``model._survey``): below it, no value and no product of the pass can
-leave float64, and neither the product nor the prefixes are tested. The
-pass and the slot fill run through ``model._guarded``, which enters
-``np.errstate`` only at or above the safe input. Either way the bits are
-the same.
+Every test above can fail only at or above the model's safe input, the
+bound ``LayeredModel`` computes from its weights (see
+``model._survey``); below it nothing in the pass can leave float64 and
+nothing is tested, so ``jacobian_forward`` leaves J[L] to its first
+reader. At or above it the call reads J[L] itself, so an overflow of
+``full`` is raised by the call. The pass and every slot fill run
+through ``model._guarded``, which enters ``np.errstate`` only at or
+above the safe input. Either way the bits are the same.
 """
 
 from collections.abc import Sequence
@@ -86,22 +86,20 @@ def _right(c: np.ndarray, slope: np.ndarray, linear: np.ndarray) -> np.ndarray:
 class _Prefixes(Sequence):
     """J[1], ..., J[L] as a read-only sequence: one slot per prefix, and the one owner of them.
 
-    J[1] is the identity, made on its first read. J[L] starts as the
-    output-end product when there is one and it is finite (below the
-    model's safe input it is not tested, since it cannot overflow).
-    Reading an empty slot fills every empty slot up to it, input-to-output
-    through the factors, and each slot keeps what it got. At or above the
-    safe input each new prefix is tested, and NonFiniteError names the
-    first layer whose prefix overflows; nothing past it is filled.
-    Concurrent readers may fill a slot twice; both get the same values.
+    Each slot is filled on its first read and kept. J[1] is the identity.
+    J[L] takes the output-end product when there is one and it is finite
+    (below the model's safe input it is not tested: it cannot overflow).
+    Reading any other empty slot, or J[L] without such a product, fills
+    every empty slot up to it, input-to-output. At or above the safe input
+    each new prefix is tested, and NonFiniteError names the first layer
+    whose prefix overflows; nothing past it is filled. Concurrent readers
+    may fill a slot twice; both get the same values.
     """
 
-    def __init__(self, factors: tuple[tuple[np.ndarray, np.ndarray], ...], product: np.ndarray | None, safe: bool):
+    def __init__(self, factors: tuple[tuple[np.ndarray, np.ndarray], ...], safe: bool):
         self._factors = factors
         self._safe = safe
         self._slots: list[np.ndarray | None] = [None] * (len(factors) + 1)
-        if product is not None and (safe or _all_finite(product)):
-            self._slots[-1] = product
 
     def __len__(self) -> int:
         return len(self._slots)
@@ -118,8 +116,21 @@ class _Prefixes(Sequence):
                 _guarded(self._safe, self._fill, index)
         return self._slots[index]
 
+    def __getstate__(self):
+        # pickling copies a strided weight view (bias column dropped) contiguously, and @ with that copy on its
+        # right can round otherwise: J[L] is made first (where its slot is still empty, nothing can raise)
+        self[-1]
+        return self.__dict__
+
     def _fill(self, index: int) -> None:
-        """Fill the empty slots J[2] .. J[index + 1] in order, each new prefix tested at or above the safe input."""
+        """Fill J[index + 1]: J[L] by the output-end product if finite, else every empty slot up to it in order."""
+        if index == len(self._factors) > 1:  # a chain of one factor has no output-end product
+            product = _dense(*self._factors[-1])
+            for slope, linear in reversed(self._factors[:-1]):
+                product = _right(product, slope, linear)
+            if self._safe or _all_finite(product):
+                self._slots[index] = _freeze(product)
+                return
         for slot in range(1, index + 1):
             if self._slots[slot] is None:
                 slope, linear = self._factors[slot - 1]
@@ -137,20 +148,23 @@ class _Prefixes(Sequence):
 class JacobianTrace:
     """Everything produced by one Jacobian pass at one instance.
 
-    ``per_layer[l-1]`` is J[l] for l = 1..L, where layer 1 is the input
-    (J[1] = I_m) and J[L] is ``full``. It is a read-only sequence whose
-    intermediate entries are built on first access; reading one whose
+    ``per_layer`` is J[1..L] (J[1] = I_m at the input, J[L] = ``full``), a
+    read-only sequence built on first read; reading an entry whose
     input-to-output product overflows raises :class:`NonFiniteError`
-    naming that layer, even though ``full`` is finite.
+    naming that layer, even where ``full`` is finite.
     ``singular_hits`` lists (layer, coordinate) pairs, 1-based, where a
     relu/leaky_relu singularity policy supplied the derivative.
     """
 
-    full: np.ndarray
     per_layer: Sequence[np.ndarray]
     activations: tuple[np.ndarray, ...]
     weighted_inputs: tuple[np.ndarray, ...]
     singular_hits: tuple[tuple[int, int], ...]
+
+    @property
+    def full(self) -> np.ndarray:
+        """The Jacobian at the instance, J[L] = ``per_layer[-1]``, multiplied from the output end on its first read."""
+        return self.per_layer[-1]
 
     @property
     def layer_count(self) -> int:
@@ -158,7 +172,7 @@ class JacobianTrace:
 
 
 def _pass(model: LayeredModel, vec: np.ndarray, counter: EvalCounter | None):
-    """The value pass with each layer's factor, and the output-end product (None for one factor), unchecked."""
+    """The value pass with each layer's factor, unchecked."""
     factors: list[tuple[np.ndarray, np.ndarray]] = []
     activations = [vec]
     weighted_inputs: list[np.ndarray] = []
@@ -173,40 +187,25 @@ def _pass(model: LayeredModel, vec: np.ndarray, counter: EvalCounter | None):
         factors.append((slope, layer.linear_part()))
         weighted_inputs.append(_freeze(z))
         activations.append(_freeze(a))
-
-    product = None
-    # a chain of one factor is J[2] = F[2] + 0, which _Prefixes fills
-    if len(factors) > 1:
-        product = _dense(*factors[-1])
-        for slope, linear in reversed(factors[:-1]):
-            product = _right(product, slope, linear)
-        _freeze(product)
-    return tuple(factors), tuple(activations), tuple(weighted_inputs), tuple(hits), product
+    return tuple(factors), tuple(activations), tuple(weighted_inputs), tuple(hits)
 
 
 def jacobian_forward(model: LayeredModel, x, counter: EvalCounter | None = None) -> JacobianTrace:
-    """Compute the full Jacobian at x from one value pass.
+    """Compute the Jacobian at x from one value pass; ``full`` is multiplied on its first read.
 
     Raises :class:`SingularityError` (annotated with layer and
     coordinate) when a relu/leaky_relu layer under the reject policy is
     differentiated at exactly 0, and :class:`NonFiniteError` naming the
     layer when a value or the Jacobian overflows. Errors of the value
-    pass come first, in layer order; the Jacobian is checked after the
-    last layer.
+    pass come first, in layer order. At or above the model's safe input,
+    where the Jacobian can overflow, the call reads ``full`` itself.
     """
     vec, safe = _checked_input(model, x)
-    vec = _freeze(vec)
-    factors, activations, weighted_inputs, hits, product = _guarded(safe, _pass, model, vec, counter)
-    per_layer = _Prefixes(factors, product, safe)
-    return JacobianTrace(
-        # without a finite product (one factor, or it overflowed), reading J[L] fills every prefix input-to-output:
-        # it names the layer that order overflows at or, if it does not, its product is the answer
-        full=per_layer[-1],
-        per_layer=per_layer,
-        activations=activations,
-        weighted_inputs=weighted_inputs,
-        singular_hits=hits,
-    )
+    factors, activations, weighted_inputs, hits = _guarded(safe, _pass, model, _freeze(vec), counter)
+    trace = JacobianTrace(_Prefixes(factors, safe), activations, weighted_inputs, hits)
+    if not safe:
+        trace.full  # raises here if it overflows
+    return trace
 
 
 def jacobian_at_layer(trace: JacobianTrace, layer: int) -> np.ndarray:

@@ -22,7 +22,7 @@ SIGNATURES = {
     "FDConfig": "(step=1e-05, scheme='central')",
     "FormatError": None,
     "InstanceVector": "(values)",
-    "JacobianTrace": "(full, per_layer, activations, weighted_inputs, singular_hits)",
+    "JacobianTrace": "(per_layer, activations, weighted_inputs, singular_hits)",
     "JacpropError": None,
     "LayerDef": "(weights, activation, bias_folded=False)",
     "LayeredModel": "(layers, input_dim)",

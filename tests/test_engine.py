@@ -24,6 +24,7 @@ from jacprop import (
     prefix_model,
     suffix_model,
 )
+from jacprop import engine
 from helpers import (
     overflowing_activation_model,
     random_smooth_model,
@@ -528,6 +529,37 @@ class TestPrefixes:
             assert backwards[index] is forwards[index]
         assert forwards[3] is trace.full
 
+    def test_a_prefix_read_below_the_safe_input_multiplies_no_product(self, monkeypatch):
+        model, x = spec_seed7_model()
+        right, calls = engine._right, []
+
+        def counting(*args):
+            calls.append(args[0].shape)
+            return right(*args)
+
+        monkeypatch.setattr(engine, "_right", counting)
+        trace = jacobian_forward(model, x)
+        prefixes = [trace.per_layer[index] for index in range(3)]
+        assert calls == [] and trace.per_layer._slots[-1] is None
+        assert [jac.tobytes() for jac in prefixes] == [jac.tobytes() for jac in _input_to_output(model, x)[:3]]
+        assert trace.full.tobytes() == _output_to_input(model, x).tobytes()
+        assert calls == [(3, 5), (3, 5)]
+        # at or above the safe input the call reads full itself
+        calls.clear()
+        jacobian_forward(uncertified(model), x)
+        assert calls == [(3, 5), (3, 5)]
+
+    def test_full_keeps_its_bits_whatever_is_read_first(self):
+        # the folded-bias models drop the bias column by a strided view, which a pickle copies contiguously
+        cases = [sweep_model(seed) for seed in range(200)] + list(_folded_signed_zero_models())
+        for model, x in cases:
+            expected = jacobian_forward(model, x).full.tobytes()
+            prefix_first = jacobian_forward(model, x)
+            prefix_first.per_layer[-2]
+            unread = pickle.loads(pickle.dumps(jacobian_forward(model, x)))
+            checked = jacobian_forward(uncertified(model), x)
+            assert [trace.full.tobytes() for trace in (prefix_first, unread, checked)] == [expected] * 3
+
     def test_trace_survives_pickling(self):
         model, x = spec_seed7_model()
         trace = jacobian_forward(model, x)
@@ -538,7 +570,7 @@ class TestPrefixes:
     def test_concurrent_first_reads_agree(self):
         model = seeded_model(5, (6, 8, 8, 8, 8, 3), ("tanh", "relu", "softplus", "logistic", "softmax"))
         x = np.linspace(-1.0, 1.0, 6)
-        expected = _input_to_output(model, x)
+        expected, full = _input_to_output(model, x), _output_to_input(model, x)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -547,7 +579,7 @@ class TestPrefixes:
                 seen = []
 
                 def read():
-                    seen.append([trace.per_layer[index] for index in (4, 1, 3, 0, 2)])
+                    seen.append([trace.full] + [trace.per_layer[index] for index in (4, 1, 3, 0, 2)])
 
                 threads = [threading.Thread(target=read) for _ in range(8)]
                 for thread in threads:
@@ -557,7 +589,8 @@ class TestPrefixes:
                 assert not any(thread.is_alive() for thread in threads)
                 assert len(seen) == 8
                 for got in seen:
-                    for matrix, index in zip(got, (4, 1, 3, 0, 2)):
+                    assert got[0].tobytes() == full.tobytes()
+                    for matrix, index in zip(got[1:], (4, 1, 3, 0, 2)):
                         assert np.array_equal(matrix, expected[index])
         finally:
             sys.setswitchinterval(interval)

@@ -127,3 +127,45 @@ def test_the_check_sees_an_errstate_with_invalid():
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name not in ("model.py", "fd.py")], ids=lambda p: p.name)
 def test_no_errstate_with_invalid_outside_the_guard(path):
     assert errstate_invalid_calls(path.read_text(encoding="utf-8")) == []
+
+
+# the output-end fold has one owner, engine._Prefixes, which multiplies full on its first read
+def fold_calls(source: str) -> list[str]:
+    """Each call of ``_right``, by name or as an attribute, outside the body of a class ``_Prefixes``."""
+    tree = ast.parse(source)
+    owned = {
+        id(node)
+        for owner in ast.walk(tree)
+        if isinstance(owner, ast.ClassDef) and owner.name == "_Prefixes"
+        for node in ast.walk(owner)
+    }
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and id(node) not in owned
+        and (getattr(node.func, "id", None) == "_right" or getattr(node.func, "attr", None) == "_right")
+    ]
+    return [f"line {line}: _right" for line in sorted(found)]
+
+
+def test_the_check_sees_a_fold_outside_its_owner():
+    source = (
+        "def _right(c, slope, linear):\n"
+        "    return c\n"
+        "class _Prefixes:\n"
+        "    def fill(self):\n"
+        "        return _right(c, s, w)\n"
+        "def _pass():\n"
+        "    product = _right(c, s, w)  # _right(c) in a comment is not code\n"
+        "    fold = _right\n"
+        "class Other:\n"
+        "    def fill(self):\n"
+        "        return engine._right(c, s, w)\n"
+    )
+    assert fold_calls(source) == ["line 7: _right", "line 11: _right"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_the_fold_is_called_only_by_the_prefixes(path):
+    assert fold_calls(path.read_text(encoding="utf-8")) == []
