@@ -16,10 +16,12 @@ The values z[l] and a[l] come from the model's own lazy value pass (the
 one ``forward`` and the finite-difference probes read). Each layer's
 slope is taken as its layer arrives, so a relu kink under ``reject``
 stops the pass before the next layer is evaluated. A factor is kept as
-a (slope, weights) pair and multiplied with ``@``. Only the factor a fold
-starts from is multiplied out; every other one is applied to a dense
-matrix C as D W C = d * (W C) or C D W = (C * d) W (S (W C) or (C S) W
-for softmax).
+a (slope, layer) pair and multiplied with ``@``, W being the layer's
+``linear_part()`` view. Only the factor a fold starts from is multiplied
+out; every other one is applied to a dense matrix C as D W C = d * (W C)
+or C D W = (C * d) W (S (W C) or (C S) W for softmax). A copied or
+pickled trace keeps its layers, rebuilt by their constructor, so W keeps
+its strides and every product its bits.
 
 The prefix Jacobians J[l], one per layer, are the Jacobians of the model
 prefix ending at layer l:
@@ -27,9 +29,11 @@ prefix ending at layer l:
     J[1] = I_m,  J[2] = F[2],  J[l] = F[l] J[l-1]  for l = 3..L,  J[L] = J
 
 J[2] is F[2] multiplied out, plus 0 (what the product with I_m gives: a
--0 entry becomes +0). Every later prefix is J_sigma[l] (W[l] J[l-1]):
-the weights meet the prefix first, then its rows are scaled, the forward
-accumulation of the chain rule, whatever the layer's shape.
+-0 entry becomes +0), in one pass: ``np.einsum("i,ij->ij", d, W)`` adds
+each product d_i w_ij to +0 (``S @ W + 0.0`` for softmax). Every later
+prefix is J_sigma[l] (W[l] J[l-1]): the weights meet the prefix first,
+then its rows are scaled, the forward accumulation of the chain rule,
+whatever the layer's shape.
 
 The whole Jacobian J = J[L] is multiplied from the output end: F[L] is
 multiplied out and F[L-1], ..., F[2] are applied to it, the cheaper end
@@ -64,18 +68,12 @@ import numpy as np
 from .activations import _all_finite, _slope, activation_apply  # noqa: F401
 from .errors import NonFiniteError, SingularityError
 from .instrumentation import EvalCounter
-from .model import LayeredModel, _checked_input, _checked_layer, _freeze, _guarded, _layer_values
+from .model import LayerDef, LayeredModel, _checked_input, _checked_layer, _freeze, _guarded, _layer_values
 
 
 def _dense(slope: np.ndarray, linear: np.ndarray) -> np.ndarray:
     """F = J_sigma W, multiplied out."""
     return slope[:, np.newaxis] * linear if slope.ndim == 1 else slope @ linear
-
-
-def _left(slope: np.ndarray, linear: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """F C, as d * (W C) or S (W C)."""
-    product = linear @ c
-    return slope[:, np.newaxis] * product if slope.ndim == 1 else slope @ product
 
 
 def _right(c: np.ndarray, slope: np.ndarray, linear: np.ndarray) -> np.ndarray:
@@ -93,10 +91,11 @@ class _Prefixes(Sequence):
     every empty slot up to it, input-to-output. At or above the safe input
     each new prefix is tested, and NonFiniteError names the first layer
     whose prefix overflows; nothing past it is filled. Concurrent readers
-    may fill a slot twice; both get the same values.
+    may fill a slot twice; both get the same values. A copy or pickle
+    keeps its empty slots, and fills them with the original's bits.
     """
 
-    def __init__(self, factors: tuple[tuple[np.ndarray, np.ndarray], ...], safe: bool):
+    def __init__(self, factors: tuple[tuple[np.ndarray, LayerDef], ...], safe: bool):
         self._factors = factors
         self._safe = safe
         self._slots: list[np.ndarray | None] = [None] * (len(factors) + 1)
@@ -111,34 +110,31 @@ class _Prefixes(Sequence):
         if self._slots[index] is None:
             if index == 0:
                 # the first layer's weights, bias column dropped, have one column per input
-                self._slots[0] = _freeze(np.eye(self._factors[0][1].shape[1]))
+                self._slots[0] = _freeze(np.eye(self._factors[0][1].linear_part().shape[1]))
             else:
                 _guarded(self._safe, self._fill, index)
         return self._slots[index]
 
-    def __getstate__(self):
-        # pickling copies a strided weight view (bias column dropped) contiguously, and @ with that copy on its
-        # right can round otherwise: J[L] is made first (where its slot is still empty, nothing can raise)
-        self[-1]
-        return self.__dict__
-
     def _fill(self, index: int) -> None:
         """Fill J[index + 1]: J[L] by the output-end product if finite, else every empty slot up to it in order."""
         if index == len(self._factors) > 1:  # a chain of one factor has no output-end product
-            product = _dense(*self._factors[-1])
-            for slope, linear in reversed(self._factors[:-1]):
-                product = _right(product, slope, linear)
+            slope, layer = self._factors[-1]
+            product = _dense(slope, layer.linear_part())
+            for slope, layer in reversed(self._factors[:-1]):
+                product = _right(product, slope, layer.linear_part())
             if self._safe or _all_finite(product):
                 self._slots[index] = _freeze(product)
                 return
         for slot in range(1, index + 1):
             if self._slots[slot] is None:
-                slope, linear = self._factors[slot - 1]
-                if slot == 1:
-                    jac = _dense(slope, linear)
-                    jac += 0.0  # F I_m is F + 0, which only turns -0 into +0
+                slope, layer = self._factors[slot - 1]
+                linear = layer.linear_part()
+                if slot > 1:
+                    jac = _dense(slope, linear @ self._slots[slot - 1])
+                elif slope.ndim == 1:  # F I_m is F + 0: einsum adds each product to +0, so -0 becomes +0
+                    jac = np.einsum("i,ij->ij", slope, linear)
                 else:
-                    jac = _left(slope, linear, self._slots[slot - 1])
+                    jac = slope @ linear + 0.0
                 if not self._safe and not _all_finite(jac):
                     raise NonFiniteError(f"non-finite Jacobian entries at layer {slot + 1}")
                 self._slots[slot] = _freeze(jac)
@@ -173,7 +169,7 @@ class JacobianTrace:
 
 def _pass(model: LayeredModel, vec: np.ndarray, counter: EvalCounter | None):
     """The value pass with each layer's factor, unchecked."""
-    factors: list[tuple[np.ndarray, np.ndarray]] = []
+    factors: list[tuple[np.ndarray, LayerDef]] = []
     activations = [vec]
     weighted_inputs: list[np.ndarray] = []
     hits: list[tuple[int, int]] = []
@@ -184,7 +180,7 @@ def _pass(model: LayeredModel, vec: np.ndarray, counter: EvalCounter | None):
             raise SingularityError(f"layer {net_layer}: {exc}", layer=net_layer, coordinate=exc.coordinate) from None
         if layer_hits:
             hits.extend((net_layer, coord) for coord in layer_hits)
-        factors.append((slope, layer.linear_part()))
+        factors.append((slope, layer))
         weighted_inputs.append(_freeze(z))
         activations.append(_freeze(a))
     return tuple(factors), tuple(activations), tuple(weighted_inputs), tuple(hits)

@@ -397,6 +397,28 @@ class TestPlan:
             if model.layer_count == 2:  # a chain of one factor: the product is J[2]
                 assert trace.full.tobytes() == expected[1].tobytes(), seed
 
+    def test_wide_first_layers_keep_the_bits_of_products_plus_zero(self):
+        # J[2] = F[2] I_m is (d * W) + 0 (S @ W + 0 for softmax) bit for bit, on rows wide enough for the
+        # vectorised loops, contiguous and strided (bias column dropped); no -0 is left
+        seen = {"negative zero products": 0, "underflows": 0, "strided": 0, "softmax": 0}
+        for model, x in _wide_first_layers():
+            trace = jacobian_forward(model, x)
+            layer, linear = model.layers[0], model.layers[0].linear_part()
+            sigma = activation_jacobian(layer.activation, trace.weighted_inputs[0]).matrix
+            if layer.activation.kind == "softmax":
+                product = sigma @ linear
+                seen["softmax"] += 1
+            else:
+                slope = np.diag(sigma)[:, np.newaxis]
+                product = slope * linear
+                seen["underflows"] += int(((product == 0.0) & (linear != 0.0) & (slope != 0.0)).sum())
+            seen["negative zero products"] += int(np.signbit(product[product == 0.0]).sum())
+            seen["strided"] += not linear.flags.c_contiguous
+            prefix = trace.per_layer[1]
+            assert prefix.tobytes() == (product + 0.0).tobytes()
+            assert not np.signbit(prefix[prefix == 0.0]).any()
+        assert all(seen.values()), seen
+
     def test_signed_zero_weights_keep_the_prefix_bits(self):
         # J[2] = F[2] I_m, and the product with I_m turns a -0 weight into +0
         for weights in ([[-0.0, 1.0]], [[-0.0], [1.0]]):
@@ -406,6 +428,30 @@ class TestPlan:
                 prefix = jacobian_forward(model, x).per_layer[1]
                 assert prefix.tobytes() == _input_to_output(model, x)[1].tobytes()
                 assert not np.signbit(prefix).any()
+
+
+def _wide_first_layers():
+    """One- and two-layer models whose first layer is 64 to 257 columns wide, folded or not, at an input.
+
+    The weights hold -0.0 and +-1e-300 entries; relu rows with z < 0 are dead over negative weights, and
+    leaky_relu's slope alpha = 1e-30 times a weight of 1e-300 underflows to zero.
+    """
+    rng = np.random.default_rng(19)
+    kinds = ("relu", "leaky_relu", "tanh", "identity", "softmax")
+    for cols in (64, 100, 257):
+        for kind in kinds:
+            for folded in (False, True):
+                linear = rng.uniform(-1.0, 1.0, size=(9, cols))
+                pick = rng.random(linear.shape)
+                linear[pick < 0.2] = -0.0
+                linear[(pick >= 0.2) & (pick < 0.3)] = 1e-300
+                linear[(pick >= 0.3) & (pick < 0.4)] = -1e-300
+                weights = fold_bias(linear, rng.uniform(-1.0, 1.0, size=9)) if folded else linear
+                spec = ActivationSpec(kind, alpha=1e-30) if kind == "leaky_relu" else ActivationSpec(kind)
+                first = LayerDef(weights=weights, activation=spec, bias_folded=folded)
+                second = LayerDef(weights=rng.uniform(-1.0, 1.0, size=(3, 9)), activation=ActivationSpec("tanh"))
+                for layers in ((first,), (first, second)):
+                    yield LayeredModel(layers=layers, input_dim=cols), rng.uniform(-1.0, 1.0, size=cols)
 
 
 def _folded_signed_zero_models():
@@ -550,7 +596,8 @@ class TestPrefixes:
         assert calls == [(3, 5), (3, 5)]
 
     def test_full_keeps_its_bits_whatever_is_read_first(self):
-        # the folded-bias models drop the bias column by a strided view, which a pickle copies contiguously
+        # the folded-bias models drop the bias column by a strided view: a pickled trace rebuilds its layers
+        # through their constructor, so the view keeps its strides and @ its bits
         cases = [sweep_model(seed) for seed in range(200)] + list(_folded_signed_zero_models())
         for model, x in cases:
             expected = jacobian_forward(model, x).full.tobytes()

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -20,12 +22,14 @@ from jacprop import (
     fold_bias,
     forward,
     jacobian_forward,
+    load_model,
     prefix_model,
     softmax,
     suffix_model,
+    save_model,
     validate_model,
 )
-from helpers import flat_forward, random_smooth_model, seeded_model, uncertified
+from helpers import flat_forward, random_smooth_model, seeded_model, sweep_model, uncertified
 
 
 def _model(shapes_and_kinds, input_dim, biased=()):
@@ -278,6 +282,67 @@ class TestTypes:
         assert "_violations" not in repr(model)
         with pytest.raises(ModelValidationError):
             forward(wider, [1.0, 2.0, 3.0])
+
+
+def _bits(model, x):
+    """forward, full and every prefix read input-first, as bytes."""
+    trace = jacobian_forward(model, x)
+    return [a.tobytes() for a in forward(model, x)] + [jac.tobytes() for jac in (trace.full, *trace.per_layer)]
+
+
+class TestValue:
+    """Layers, models and instances compare and hash by value, and copies keep their invariants."""
+
+    def test_two_loads_of_one_document_are_equal(self):
+        model = seeded_model(3, (4, 5, 3), ("tanh", "softmax"), biased=(1,))
+        document = save_model(model)
+        first, second = load_model(document), load_model(document)
+        assert first == second == model and hash(first) == hash(second) == hash(model)
+        assert first.layers[0] == second.layers[0] and hash(first.layers[0]) == hash(second.layers[0])
+        assert len({first, second, model}) == 1
+        instance = InstanceVector(values=[1.0, -2.0])
+        assert instance == InstanceVector(values=np.array([1.0, -2.0])) and hash(instance) == hash(
+            InstanceVector(values=(1.0, -2.0))
+        )
+
+    def test_values_differ_where_shapes_or_bytes_do(self):
+        tanh = ActivationSpec("tanh")
+        layer = LayerDef(weights=[[1.0, 0.0, 2.0, 3.0]], activation=tanh)
+        assert layer != LayerDef(weights=[[1.0, -0.0, 2.0, 3.0]], activation=tanh)  # -0.0 has other bytes
+        assert layer != LayerDef(weights=[[1.0, 0.0], [2.0, 3.0]], activation=tanh)  # same bytes, other shape
+        assert layer != LayerDef(weights=[[1.0, 0.0, 2.0, 3.0]], activation=ActivationSpec("identity"))
+        assert layer != LayerDef(weights=[[1.0, 0.0, 2.0, 3.0]], activation=tanh, bias_folded=True)
+        assert layer != "layer" and layer != (layer.activation, False, layer.weights.shape)
+        model = LayeredModel(layers=(layer,), input_dim=4)
+        assert model != LayeredModel(layers=(layer, layer), input_dim=4)
+        other = LayerDef(weights=[[1.0, 0.0, 2.0, 3.5]], activation=tanh)
+        assert model != LayeredModel(layers=(other,), input_dim=4)
+        assert InstanceVector(values=[0.0]) != InstanceVector(values=[-0.0])
+        assert InstanceVector(values=[1.0]) != InstanceVector(values=[1.0, 1.0])
+
+    def test_copies_keep_read_only_weights_views_and_bits(self):
+        folded = 0
+        for seed in range(200):
+            model, x = sweep_model(seed)
+            folded += any(layer.bias_folded for layer in model.layers)
+            expected = _bits(model, x)
+            for clone in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model), copy.copy(model)):
+                assert clone == model and hash(clone) == hash(model), seed
+                assert clone._safe_input == model._safe_input
+                for layer, original in zip(clone.layers, model.layers):
+                    assert layer == original and hash(layer) == hash(original)
+                    assert not layer.weights.flags.writeable
+                    assert np.shares_memory(layer.linear_part(), layer.weights)
+                    assert layer.linear_part().strides == original.linear_part().strides
+                assert _bits(clone, x) == expected, seed
+        assert 0 < folded < 200
+
+    def test_an_instance_stays_read_only_when_copied(self):
+        instance = InstanceVector(values=[1.0, -0.0, 2.5])
+        for clone in (pickle.loads(pickle.dumps(instance)), copy.deepcopy(instance), copy.copy(instance)):
+            assert not clone.values.flags.writeable
+            assert clone == instance and hash(clone) == hash(instance)
+            assert clone.values.tobytes() == instance.values.tobytes()
 
 
 class TestSafeInput:

@@ -169,3 +169,51 @@ def test_the_check_sees_a_fold_outside_its_owner():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_the_fold_is_called_only_by_the_prefixes(path):
     assert fold_calls(path.read_text(encoding="utf-8")) == []
+
+
+# a copy or pickle rebuilds a frozen container's read-only arrays writeable, and a view of them as a
+# detached copy, unless the class sends its fields back through its constructor
+def frozen_without_reduce(source: str) -> list[str]:
+    """Each class whose ``__post_init__`` calls ``_freeze`` and whose body defines no ``__reduce__``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        methods = {item.name: item for item in node.body if isinstance(item, ast.FunctionDef)}
+        freezes = "__post_init__" in methods and any(
+            isinstance(call, ast.Call) and "_freeze" in (getattr(call.func, name, None) for name in ("id", "attr"))
+            for call in ast.walk(methods["__post_init__"])
+        )
+        if freezes and "__reduce__" not in methods:
+            found.append(f"line {node.lineno}: {node.name}")
+    return found
+
+
+def test_the_check_sees_a_frozen_container_without_reduce():
+    source = (
+        "class Kept:\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'w', _freeze(w))\n"
+        "    def __reduce__(self):\n"
+        "        return Kept, (self.w,)\n"
+        "class Lost:\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'w', model._freeze(w))  # _freeze in a comment is not code\n"
+        "class Plain:\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'w', np.asarray(w))\n"
+        "    def build(self):\n"
+        "        return _freeze(w)\n"
+        "class Outer:\n"
+        "    class Inner:\n"
+        "        def __post_init__(self):\n"
+        "            _freeze(self.w)\n"
+        "    def __reduce__(self):\n"
+        "        return Outer, ()\n"
+    )
+    assert frozen_without_reduce(source) == ["line 6: Lost", "line 15: Inner"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_frozen_containers_copy_through_their_constructor(path):
+    assert frozen_without_reduce(path.read_text(encoding="utf-8")) == []
