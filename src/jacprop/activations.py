@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError, SingularityError
+from .errors import DimensionMismatchError, NonFiniteError, SingularityError
 
 KINDS = frozenset(
     {"identity", "logistic", "tanh", "softplus", "relu", "leaky_relu", "softmax"}
@@ -83,17 +83,22 @@ class ActivationSpec:
             raise ValueError(f"relu_zero_policy is only valid for relu/leaky_relu, not {self.kind!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ActivationJacobian:
-    """Jacobian of an activation at a point.
+    """Jacobian of an activation at a point, compared and hashed by identity.
 
     ``matrix`` is the dense n x n Jacobian (diagonal for elementwise
-    kinds). ``singular_hit`` is set when a relu/leaky_relu coordinate sat
-    exactly at 0 and a fallback policy supplied the value.
+    kinds), read-only. ``singular_hit`` is set when a relu/leaky_relu
+    coordinate sat exactly at 0 and a fallback policy supplied the value.
     """
 
     matrix: np.ndarray
     singular_hit: bool
+
+
+def _freeze(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def _all_finite(arr: np.ndarray) -> bool:
@@ -123,11 +128,22 @@ def _as_real(x, what: str) -> np.ndarray:
     return arr
 
 
-def _as_finite_vector(x, what: str, shape_error: type[Exception] = ValueError) -> np.ndarray:
-    """x as a float64 vector (no copy if it is one); ``shape_error`` if not 1-D, NonFiniteError if not finite."""
+def _as_matrix(x, what: str) -> np.ndarray:
+    """x as a float64 matrix (no copy if it is one), a vector or a scalar as one row.
+
+    Raises :class:`DimensionMismatchError` naming ``what`` and the shape past 2 dimensions.
+    """
+    arr = _as_real(x, what)
+    if arr.ndim > 2:
+        raise DimensionMismatchError(f"{what} must have at most 2 dimensions, got shape {arr.shape}")
+    return np.atleast_2d(arr) if arr.ndim < 2 else arr
+
+
+def _as_finite_vector(x, what: str) -> np.ndarray:
+    """x as a float64 vector (no copy if it is one); ValueError if not 1-D, NonFiniteError if not finite."""
     arr = _as_real(x, what)
     if arr.ndim != 1:
-        raise shape_error(f"{what} must be a 1-D vector, got shape {arr.shape}")
+        raise ValueError(f"{what} must be a 1-D vector, got shape {arr.shape}")
     if not _all_finite(arr):
         raise NonFiniteError(f"{what} contains non-finite entries")
     return arr
@@ -261,7 +277,12 @@ def softmax_jacobian(z) -> np.ndarray:
 
 
 def activation_jacobian(spec: ActivationSpec, z) -> ActivationJacobian:
-    """Exact Jacobian of the activation at z, as a dense matrix: the table's slope, made a diagonal matrix if 1-D."""
-    arr = _as_finite_vector(z, "activation input")
-    slope, hits = _slope(spec, arr, _TABLE[spec.kind][0](spec, arr))
-    return ActivationJacobian(matrix=np.diag(slope) if slope.ndim == 1 else slope, singular_hit=bool(hits))
+    """Exact Jacobian of the activation at z, as a dense read-only matrix.
+
+    :func:`softmax_jacobian` for softmax, else the diagonal matrix of
+    :func:`elementwise_derivative`; each raises what it raises on its own.
+    """
+    if spec.kind == "softmax":
+        return ActivationJacobian(matrix=_freeze(softmax_jacobian(z)), singular_hit=False)
+    slope, hits = elementwise_derivative(spec, z)
+    return ActivationJacobian(matrix=_freeze(np.diag(slope)), singular_hit=bool(hits))

@@ -140,9 +140,9 @@ class _Prefixes(Sequence):
                 self._slots[slot] = _freeze(jac)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JacobianTrace:
-    """Everything produced by one Jacobian pass at one instance.
+    """Everything produced by one Jacobian pass at one instance, compared and hashed by identity.
 
     ``per_layer`` is J[1..L] (J[1] = I_m at the input, J[L] = ``full``), a
     read-only sequence built on first read; reading an entry whose

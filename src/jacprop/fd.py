@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import _all_finite, _as_real, _checked_real
+from .activations import _all_finite, _as_matrix, _as_real, _checked_real
 from .errors import DimensionMismatchError, NonFiniteError
 from .instrumentation import EvalCounter
 from .model import LayeredModel, _checked_input, _layer_values
@@ -118,10 +118,11 @@ def finite_difference_jacobian(
     x_j +- h is exact. Raises ``ValueError`` naming the first input
     coordinate (1-based) where the step vanishes in rounding, before any
     probe is evaluated; :class:`NonFiniteError` naming the first probe
-    (base point, then x + h e_1, x - h e_1, x + h e_2, ...) whose output
-    overflows, and its layer; and :class:`NonFiniteError` naming the first
-    column of the estimate that is not finite, for instance when two
-    finite probe outputs differ by more than float64 can hold.
+    (forward: base point, x + h e_1, x + h e_2, ...; central: x + h e_1,
+    x - h e_1, x + h e_2, ...) whose output overflows, and its layer; and
+    :class:`NonFiniteError` naming the first column of the estimate that
+    is not finite, for instance when two finite probe outputs differ by
+    more than float64 can hold.
     """
     cfg = _DEFAULT_CONFIG if cfg is None else cfg
     vec, _ = _checked_input(model, x)
@@ -131,33 +132,34 @@ def finite_difference_jacobian(
     with np.errstate(over="ignore", invalid="ignore"):
         # an x_j + h that overflows is inf, and its probe reports it
         high = vec + h
-        low = vec if cfg.scheme == "forward" else vec - h
-        spacing = high - low
-        if np.count_nonzero(spacing) < m:
-            j = int(np.flatnonzero(spacing == 0.0)[0])
-            raise ValueError(f"step {h!r} vanishes in rounding at input coordinate {j + 1} (value {float(vec[j])!r})")
-
-        # the probes in the order evaluating them one at a time takes: the base point (coordinate 1
-        # set to itself) and x + h e_j for the forward scheme, x + h e_j and x - h e_j for the central one
+        # each scheme's low side, its probes in the order evaluating them one at a time takes, their labels,
+        # and the two column sets its estimate subtracts
         if cfg.scheme == "forward":
+            # the base point (coordinate 1 set to itself), then x + h e_j
+            low = vec
             rows = np.concatenate(([0], np.arange(m)))
             values = np.concatenate((vec[:1], high))
 
             def labels(i: int) -> str:
                 return f"x + h e_{i}" if i else "base point"
 
+            plus, minus = slice(1, None), slice(0, 1)
         else:
+            # x + h e_j, then x - h e_j
+            low = vec - h
             rows = np.arange(m).repeat(2)
             values = np.array((high, low)).T.ravel()
 
             def labels(i: int) -> str:
                 return f"x {'+-'[i % 2]} h e_{i // 2 + 1}"
 
+            plus, minus = slice(0, None, 2), slice(1, None, 2)
+        spacing = high - low
+        if np.count_nonzero(spacing) < m:
+            j = int(np.flatnonzero(spacing == 0.0)[0])
+            raise ValueError(f"step {h!r} vanishes in rounding at input coordinate {j + 1} (value {float(vec[j])!r})")
         outputs = _probe_outputs(model, vec, rows, values, labels, counter)
-        if cfg.scheme == "forward":
-            estimate = (outputs[:, 1:] - outputs[:, :1]) / spacing
-        else:
-            estimate = (outputs[:, 0::2] - outputs[:, 1::2]) / spacing
+        estimate = (outputs[:, plus] - outputs[:, minus]) / spacing
     if not _all_finite(estimate):
         column = int(np.flatnonzero(~np.isfinite(estimate).all(axis=0))[0]) + 1
         raise NonFiniteError(f"non-finite finite-difference estimate in column {column}")
@@ -172,21 +174,18 @@ def _checked_tolerance(tolerance) -> float:
 def compare_jacobians(a, b, tolerance: float) -> ComparisonResult:
     """Elementwise comparison of two finite matrices against an absolute tolerance (>= 0).
 
-    Raises :class:`DimensionMismatchError` naming the argument and its
-    shape when it has more than 2 dimensions, naming the shapes when they
+    A vector or a scalar is one row. Both arguments are cast to float64
+    before either one's shape is checked, so a ValueError of ``b`` (a
+    string, complex entries) comes before ``a``'s shape. Raises
+    :class:`DimensionMismatchError` naming the argument and its shape
+    when it has more than 2 dimensions, naming the shapes when they
     differ or hold no entries, and :class:`NonFiniteError` naming the
     argument (``a`` or ``b``) that holds a NaN or an infinity: no
     difference to it is meaningful.
     """
-    mat_a = _as_real(a, "a")
-    mat_b = _as_real(b, "b")
-    for name, matrix in (("a", mat_a), ("b", mat_b)):
-        if matrix.ndim > 2:
-            raise DimensionMismatchError(f"{name} must have at most 2 dimensions, got shape {matrix.shape}")
-    if mat_a.ndim < 2:
-        mat_a = np.atleast_2d(mat_a)
-    if mat_b.ndim < 2:
-        mat_b = np.atleast_2d(mat_b)
+    # both are cast before either shape is checked, so b's cast error comes before a's shape
+    mat_a, mat_b = _as_real(a, "a"), _as_real(b, "b")
+    mat_a, mat_b = _as_matrix(mat_a, "a"), _as_matrix(mat_b, "b")
     if mat_a.shape != mat_b.shape:
         raise DimensionMismatchError(f"shape mismatch: {mat_a.shape} vs {mat_b.shape}")
     if mat_a.size == 0:

@@ -26,14 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activations import ActivationSpec, _as_finite_vector, _as_real, _norms, activation_apply
+from .activations import ActivationSpec, _as_finite_vector, _as_real, _freeze, _norms, activation_apply
 from .errors import DimensionMismatchError, ModelValidationError, NonFiniteError
 from .instrumentation import EvalCounter
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
 
 
 def _key(arr: np.ndarray) -> tuple:

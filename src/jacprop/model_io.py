@@ -35,9 +35,6 @@ from .errors import DimensionMismatchError, FormatError, NonFiniteError
 from .model import InstanceVector, LayerDef, LayeredModel, _validated, fold_bias
 from .sensitivity import SensitivityReport, _checked_k
 
-_TOP_KEYS = {"schema_version", "input_dim", "layers"}
-_LAYER_KEYS = {"weights", "bias", "activation"}
-_ACTIVATION_KEYS = {"kind", "alpha", "relu_zero_policy"}
 _NUMBER_TYPES = {int, float}  # what json.loads makes of a JSON number; bool is its own type
 
 
@@ -45,16 +42,25 @@ def _all_numbers(values: list) -> bool:
     return set(map(type, values)) <= _NUMBER_TYPES
 
 
-def _require_keys(obj: dict, allowed: set, where: str) -> None:
-    unknown = set(obj) - allowed
+def _require_keys(obj: dict, where: str, required: tuple = (), optional: tuple = ()) -> None:
+    """Raise FormatError at ``where`` naming obj's first unknown key (sorted), else its first missing required one.
+
+    A key is unknown when it is neither required nor optional; missing
+    keys are looked for in the order ``required`` lists them.
+    """
+    unknown = set(obj).difference(required, optional)
     if unknown:
         raise FormatError(f"{where}: unknown key {sorted(unknown)[0]!r} (strict schema)")
+    for key in required:
+        if key not in obj:
+            raise FormatError(f"{where}: missing required key {key!r}")
 
 
 def _parse_activation(obj, where: str) -> ActivationSpec:
     if not isinstance(obj, dict):
         raise FormatError(f"{where}: activation must be an object")
-    _require_keys(obj, _ACTIVATION_KEYS, where)
+    # a missing kind is ActivationSpec's to name
+    _require_keys(obj, where, optional=("kind", "alpha", "relu_zero_policy"))
     try:
         return ActivationSpec(kind=obj.get("kind"), alpha=obj.get("alpha"), relu_zero_policy=obj.get("relu_zero_policy"))
     except ValueError as exc:
@@ -109,10 +115,7 @@ def load_model(text: str) -> LayeredModel:
         ) from None
     if not isinstance(doc, dict):
         raise FormatError("model document must be a JSON object")
-    _require_keys(doc, _TOP_KEYS, "model document")
-    for key in ("schema_version", "input_dim", "layers"):
-        if key not in doc:
-            raise FormatError(f"model document: missing required key {key!r}")
+    _require_keys(doc, "model document", required=("schema_version", "input_dim", "layers"))
     if doc["schema_version"] != "1":
         raise FormatError(f"unsupported schema_version {doc['schema_version']!r}; expected \"1\"")
     input_dim = doc["input_dim"]
@@ -126,10 +129,7 @@ def load_model(text: str) -> LayeredModel:
         where = f"layer {pos}"
         if not isinstance(entry, dict):
             raise FormatError(f"{where}: must be an object")
-        _require_keys(entry, _LAYER_KEYS, where)
-        for key in ("weights", "activation"):
-            if key not in entry:
-                raise FormatError(f"{where}: missing required key {key!r}")
+        _require_keys(entry, where, required=("weights", "activation"), optional=("bias",))
         weights = _parse_weights(entry["weights"], where)
         activation = _parse_activation(entry["activation"], where)
         bias = entry.get("bias")

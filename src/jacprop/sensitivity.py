@@ -13,14 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import _as_real
+from .activations import _as_matrix
 from .errors import DimensionMismatchError, NonFiniteError
 from .model import _freeze
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SensitivityReport:
-    """Scores and rankings derived from one Jacobian.
+    """Scores and rankings derived from one Jacobian, compared and hashed by identity.
 
     Rankings hold 1-based indices sorted by descending score, ties broken
     by ascending index. ``per_entry`` keeps the raw matrix for drill-down
@@ -68,61 +68,47 @@ def _scaled_norms(matrix: np.ndarray, axis: int, name: str) -> np.ndarray:
 _TINY = 2.0**-510
 
 
-def _lifted(scores: np.ndarray, ranking: tuple[int, ...], matrix: np.ndarray, axis: int, name: str):
-    """The scores along ``axis`` with each one below 2^-510 taken from :func:`_scaled_norms`, and their ranking.
-
-    Unchanged when each such score's vector is all zero: its scaled score
-    is +0, as its plain one is.
-    """
-    low = scores < _TINY
-    # the score vectors run across the other axis of the matrix
-    if not np.count_nonzero(matrix.compress(low, axis=1 - axis)):
-        return scores, ranking
-    scores = np.where(low, _scaled_norms(matrix, axis, name), scores)
-    return scores, _rank(scores)
-
-
 def build_report(jacobian, same_unit: bool = False) -> SensitivityReport:
     """Column/row Euclidean norms of the Jacobian plus deterministic rankings.
 
-    Raises :class:`DimensionMismatchError` for an array with more than 2
+    A vector or a scalar is one row. Raises
+    :class:`DimensionMismatchError` for an array with more than 2
     dimensions or a matrix with no entries, and
     :class:`NonFiniteError` for one with a NaN or an infinity, or with a
-    score beyond float64's range, naming the axis and the index. A score
-    below 2^-510 is a scaled norm, so it does not underflow where the
-    squares of its vector's entries do.
+    score beyond float64's range, naming the axis and the index (features
+    first). Each axis takes the same steps: the plain norms, or scaled
+    ones where a square could leave float64, then its ranking. A score
+    below 2^-510 is then a scaled norm, so it does not underflow where the
+    squares of its vector's entries do, and the axis is ranked again.
     ``same_unit`` must be a bool (ValueError otherwise), and complex
     entries raise ValueError.
     """
     if not isinstance(same_unit, (bool, np.bool_)):
         raise ValueError(f"same_unit must be a bool, got {same_unit!r}")
-    matrix = _as_real(jacobian, "jacobian")
-    if matrix.ndim < 2:
-        matrix = np.atleast_2d(matrix)
-    if matrix.ndim > 2:
-        raise DimensionMismatchError(f"jacobian must have at most 2 dimensions, got shape {matrix.shape}")
+    matrix = _as_matrix(jacobian, "jacobian")
     if matrix.size == 0:
         raise DimensionMismatchError(f"jacobian of shape {matrix.shape} has no entries to rank")
     peak = float(np.maximum.reduce(np.abs(matrix), axis=None))  # NaN or inf when an entry is
     if not math.isfinite(peak):
         raise NonFiniteError("jacobian contains non-finite entries")
-    if peak * peak * max(matrix.shape) < _PLAIN_LIMIT:
-        # np.linalg.norm(matrix, axis=k) is sqrt of the sum of squares along k, and this squares once for both
-        squares = matrix * matrix
-        feature_scores = np.sqrt(np.add.reduce(squares, axis=0))
-        output_scores = np.sqrt(np.add.reduce(squares, axis=1))
-    else:
-        feature_scores = _scaled_norms(matrix, 0, "feature")
-        output_scores = _scaled_norms(matrix, 1, "output")
-    feature_ranking, output_ranking = _rank(feature_scores), _rank(output_scores)
-    # a ranking ends at its smallest score: one lookup tells whether any score is that small
-    if feature_scores[feature_ranking[-1] - 1] < _TINY:
-        feature_scores, feature_ranking = _lifted(feature_scores, feature_ranking, matrix, 0, "feature")
-    if output_scores[output_ranking[-1] - 1] < _TINY:
-        output_scores, output_ranking = _lifted(output_scores, output_ranking, matrix, 1, "output")
+    # np.linalg.norm(matrix, axis=k) is sqrt of the sum of squares along k, and this squares once for both axes
+    squares = matrix * matrix if peak * peak * max(matrix.shape) < _PLAIN_LIMIT else None
+    axes = []
+    for axis, name in ((0, "feature"), (1, "output")):
+        scores = _scaled_norms(matrix, axis, name) if squares is None else np.sqrt(np.add.reduce(squares, axis=axis))
+        ranking = _rank(scores)
+        # a ranking ends at its smallest score: one lookup tells whether any score is that small
+        if scores[ranking[-1] - 1] < _TINY:
+            low = scores < _TINY
+            # the score vectors run across the other axis; all-zero ones score +0 scaled, as they do plain
+            if np.count_nonzero(matrix.compress(low, axis=1 - axis)):
+                scores = np.where(low, _scaled_norms(matrix, axis, name), scores)
+                ranking = _rank(scores)
+        axes.append((_freeze(scores), ranking))
+    (feature_scores, feature_ranking), (output_scores, output_ranking) = axes
     return SensitivityReport(
-        feature_scores=_freeze(feature_scores),
-        output_scores=_freeze(output_scores),
+        feature_scores=feature_scores,
+        output_scores=output_scores,
         feature_ranking=feature_ranking,
         output_ranking=output_ranking,
         per_entry=_freeze(matrix.copy()),

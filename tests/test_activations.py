@@ -100,6 +100,20 @@ class TestJacobian:
         assert np.array_equal(result.matrix, np.diag([0.0, 1.0, 0.0]))
         assert result.singular_hit is True
 
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_matrix_is_read_only(self, kind):
+        matrix = activation_jacobian(make_spec(kind), [0.5, -1.0]).matrix
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1.0
+
+    def test_results_compare_and_hash_by_identity(self):
+        # a generated __eq__ over the matrix would raise "truth value ... is ambiguous", and its __hash__ TypeError
+        first, second = (activation_jacobian(ActivationSpec("softmax"), [0.1, -0.2, 0.3]) for _ in range(2))
+        assert np.array_equal(first.matrix, second.matrix)
+        assert first == first and first != second
+        assert hash(first) == hash(first) and len({first, second}) == 2
+
     def test_elementwise_derivative_takes_an_elementwise_vector(self):
         with pytest.raises(ValueError, match=r"^activation input must be a 1-D vector, got shape \(2, 2\)$"):
             elementwise_derivative(ActivationSpec("tanh"), np.ones((2, 2)))

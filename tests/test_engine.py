@@ -550,6 +550,13 @@ class TestPrefixes:
             with pytest.raises(ValueError):
                 matrix[0, 0] = 1.0
 
+    def test_traces_compare_and_hash_by_identity(self):
+        # value equality would fill every prefix, and a fill can raise; a generated __hash__ would raise TypeError
+        model, x = spec_seed7_model()
+        first, second = jacobian_forward(model, x), jacobian_forward(model, x)
+        assert first == first and first != second
+        assert hash(first) == hash(first) and len({first, second}) == 2
+
     def test_a_filled_slot_keeps_its_prefix_past_a_failed_read(self):
         # J[2] is finite, J[3] overflows and J[4] = full is the finite output-end product
         trace = jacobian_forward(_overflowing_prefix_model(), [1e-200, 0.0])

@@ -267,6 +267,20 @@ class TestCompare:
         with pytest.raises(DimensionMismatchError, match=r"^b must have at most 2 dimensions, got shape \(1, 1, 2\)$"):
             compare_jacobians(np.zeros((1, 2)), three_d, tolerance=1.0)
 
+    @pytest.mark.parametrize(
+        "b,error,message",
+        [
+            ("abc", ValueError, "could not convert string to float: 'abc'"),
+            (np.array([[1 + 1j]]), ValueError, "b must hold real numbers, got dtype complex128"),
+            (np.zeros((2, 1, 1)), DimensionMismatchError, r"a must have at most 2 dimensions, got shape \(1, 1, 2\)"),
+        ],
+        ids=["string", "complex", "three_d"],
+    )
+    def test_both_arguments_are_cast_before_either_shape_is_checked(self, b, error, message):
+        # with a 3-D a, b's cast error comes first; a's shape is named only when b casts
+        with pytest.raises(error, match=f"^{message}$"):
+            compare_jacobians(np.zeros((1, 1, 2)), b, tolerance=1.0)
+
     def test_boundary_is_inclusive(self):
         result = compare_jacobians([[0.0]], [[0.5]], tolerance=0.5)
         assert result.within_tolerance is True

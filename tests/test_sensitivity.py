@@ -74,6 +74,13 @@ class TestBuildReport:
             with pytest.raises(ValueError, match="^same_unit must be a bool, got "):
                 build_report([[1.0]], same_unit=value)
 
+    def test_reports_compare_and_hash_by_identity(self):
+        # a generated __eq__ over the score arrays would raise "truth value ... is ambiguous", and its __hash__ TypeError
+        matrix = np.array([[1.0, -2.0], [0.5, 0.25]])
+        first, second = build_report(matrix), build_report(matrix)
+        assert first == first and first != second
+        assert hash(first) == hash(first) and len({first, second}) == 2
+
     def test_scores_are_non_negative(self):
         rng = np.random.default_rng(2)
         report = build_report(rng.normal(size=(5, 7)))

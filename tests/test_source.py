@@ -217,3 +217,59 @@ def test_the_check_sees_a_frozen_container_without_reduce():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_frozen_containers_copy_through_their_constructor(path):
     assert frozen_without_reduce(path.read_text(encoding="utf-8")) == []
+
+
+# the generated __eq__ compares array fields as a tuple, which raises "truth value ... is ambiguous", and
+# frozen=True then adds a __hash__ that raises TypeError; eq=False keeps object's identity for both
+def array_dataclasses_with_eq(source: str) -> list[str]:
+    """Each ``dataclass`` with a field whose annotation names ``ndarray`` and whose decorator does not pass ``eq=False``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        annotated = {
+            getattr(name, "id", None) or getattr(name, "attr", None)
+            for item in node.body
+            if isinstance(item, ast.AnnAssign)
+            for name in ast.walk(item.annotation)
+        }
+        holds_arrays = "ndarray" in annotated
+        for decorator in node.decorator_list:
+            func = decorator.func if isinstance(decorator, ast.Call) else decorator
+            if "dataclass" not in (getattr(func, "id", None), getattr(func, "attr", None)):
+                continue
+            keywords = decorator.keywords if isinstance(decorator, ast.Call) else []
+            by_identity = any(
+                keyword.arg == "eq" and isinstance(keyword.value, ast.Constant) and keyword.value.value is False
+                for keyword in keywords
+            )
+            if holds_arrays and not by_identity:
+                found.append(f"line {node.lineno}: {node.name}")
+    return found
+
+
+def test_the_check_sees_an_array_dataclass_with_eq():
+    source = (
+        "@dataclass(frozen=True, eq=False)\n"
+        "class Kept:\n"
+        "    matrix: np.ndarray\n"
+        "@dataclass(frozen=True)\n"
+        "class Lost:\n"
+        "    matrix: np.ndarray  # eq=False in a comment is not code\n"
+        "@dataclasses.dataclass\n"
+        "class Nested:\n"
+        "    parts: tuple[ndarray, ...]\n"
+        "@dataclass(eq=True)\n"
+        "class Plain:\n"
+        "    count: int\n"
+        "    def scores(self) -> np.ndarray:\n"
+        "        return np.zeros(self.count)\n"
+        "class Undecorated:\n"
+        "    matrix: np.ndarray\n"
+    )
+    assert array_dataclasses_with_eq(source) == ["line 5: Lost", "line 8: Nested"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_array_dataclasses_compare_by_identity(path):
+    assert array_dataclasses_with_eq(path.read_text(encoding="utf-8")) == []
