@@ -88,12 +88,20 @@ class ActivationJacobian:
     """Jacobian of an activation at a point, compared and hashed by identity.
 
     ``matrix`` is the dense n x n Jacobian (diagonal for elementwise
-    kinds), read-only. ``singular_hit`` is set when a relu/leaky_relu
-    coordinate sat exactly at 0 and a fallback policy supplied the value.
+    kinds), made read-only by the constructor, through which pickle,
+    ``copy`` and ``deepcopy`` rebuild it. ``singular_hit`` is set when a
+    relu/leaky_relu coordinate sat exactly at 0 and a fallback policy
+    supplied the value.
     """
 
     matrix: np.ndarray
     singular_hit: bool
+
+    def __post_init__(self):
+        _freeze(self.matrix)
+
+    def __reduce__(self):
+        return type(self), (self.matrix, self.singular_hit)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -283,6 +291,6 @@ def activation_jacobian(spec: ActivationSpec, z) -> ActivationJacobian:
     :func:`elementwise_derivative`; each raises what it raises on its own.
     """
     if spec.kind == "softmax":
-        return ActivationJacobian(matrix=_freeze(softmax_jacobian(z)), singular_hit=False)
+        return ActivationJacobian(matrix=softmax_jacobian(z), singular_hit=False)
     slope, hits = elementwise_derivative(spec, z)
-    return ActivationJacobian(matrix=_freeze(np.diag(slope)), singular_hit=bool(hits))
+    return ActivationJacobian(matrix=np.diag(slope), singular_hit=bool(hits))

@@ -92,13 +92,17 @@ class _Prefixes(Sequence):
     each new prefix is tested, and NonFiniteError names the first layer
     whose prefix overflows; nothing past it is filled. Concurrent readers
     may fill a slot twice; both get the same values. A copy or pickle
-    keeps its empty slots, and fills them with the original's bits.
+    starts with every slot empty, and fills them with the original's bits.
     """
 
     def __init__(self, factors: tuple[tuple[np.ndarray, LayerDef], ...], safe: bool):
         self._factors = factors
         self._safe = safe
         self._slots: list[np.ndarray | None] = [None] * (len(factors) + 1)
+
+    def __reduce__(self):
+        # the factors alone: a copy fills its own slots, read-only and with the original's bits
+        return type(self), (self._factors, self._safe)
 
     def __len__(self) -> int:
         return len(self._slots)
@@ -150,12 +154,21 @@ class JacobianTrace:
     naming that layer, even where ``full`` is finite.
     ``singular_hits`` lists (layer, coordinate) pairs, 1-based, where a
     relu/leaky_relu singularity policy supplied the derivative.
+    The constructor makes the activations and weighted inputs read-only,
+    and pickle, ``copy`` and ``deepcopy`` rebuild a trace through it.
     """
 
     per_layer: Sequence[np.ndarray]
     activations: tuple[np.ndarray, ...]
     weighted_inputs: tuple[np.ndarray, ...]
     singular_hits: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        for arr in (*self.activations, *self.weighted_inputs):
+            _freeze(arr)
+
+    def __reduce__(self):
+        return type(self), (self.per_layer, self.activations, self.weighted_inputs, self.singular_hits)
 
     @property
     def full(self) -> np.ndarray:
@@ -181,8 +194,8 @@ def _pass(model: LayeredModel, vec: np.ndarray, counter: EvalCounter | None):
         if layer_hits:
             hits.extend((net_layer, coord) for coord in layer_hits)
         factors.append((slope, layer))
-        weighted_inputs.append(_freeze(z))
-        activations.append(_freeze(a))
+        weighted_inputs.append(z)
+        activations.append(a)
     return tuple(factors), tuple(activations), tuple(weighted_inputs), tuple(hits)
 
 
@@ -197,7 +210,7 @@ def jacobian_forward(model: LayeredModel, x, counter: EvalCounter | None = None)
     where the Jacobian can overflow, the call reads ``full`` itself.
     """
     vec, safe = _checked_input(model, x)
-    factors, activations, weighted_inputs, hits = _guarded(safe, _pass, model, _freeze(vec), counter)
+    factors, activations, weighted_inputs, hits = _guarded(safe, _pass, model, vec, counter)
     trace = JacobianTrace(_Prefixes(factors, safe), activations, weighted_inputs, hits)
     if not safe:
         trace.full  # raises here if it overflows

@@ -64,38 +64,33 @@ def _block_columns(model: LayeredModel) -> int:
     return max(1, _BLOCK_BYTES // model._column_bytes)
 
 
-def _probe_output(model: LayeredModel, vec: np.ndarray, counter, probe: str) -> np.ndarray:
-    try:
-        *_, (_, _, _, output) = _layer_values(model, vec, counter)
-    except NonFiniteError as exc:
-        raise NonFiniteError(f"non-finite model output at probe {probe}: {exc}") from None
-    return output
-
-
 def _probe_outputs(model: LayeredModel, vec: np.ndarray, rows, values, labels, counter) -> np.ndarray:
     """F at every probe, as the columns of one matrix; probe i is x with coordinate rows[i] set to values[i].
 
-    The probes go through the value pass a block of columns at a time. A
-    block with a non-finite value is evaluated again one probe at a time,
-    in order: the first probe to overflow is named (``labels(i)``) with
-    its layer, and the counter counts just the evaluations made that way.
+    Each probe is built once, as a column of its block, and the block goes
+    through the value pass. A block with a non-finite value passes its
+    columns again one at a time, in order, each as a vector: the first
+    probe to overflow is named (``labels(i)``) with its layer, and the
+    counter counts just the evaluations made that way.
     """
     size = _block_columns(model)
     blocks = []
     for start in range(0, len(rows), size):
         block_rows = rows[start : start + size]
-        block_values = values[start : start + size]
         block = vec.repeat(len(block_rows)).reshape(-1, len(block_rows))
-        block[block_rows, np.arange(len(block_rows))] = block_values
+        block[block_rows, np.arange(len(block_rows))] = values[start : start + size]
         try:
             for *_, outputs in _layer_values(model, block):
                 pass
         except NonFiniteError:
             replayed = []
-            for i, (row, value) in enumerate(zip(block_rows, block_values), start=start):
-                probe = vec.copy()
-                probe[row] = value
-                replayed.append(_probe_output(model, probe, counter, labels(i)))
+            # each column as a C-contiguous copy: a strided view gives .dot other bits than a probe of its own
+            for i, probe in enumerate(block.T, start=start):
+                try:
+                    *_, (_, _, _, output) = _layer_values(model, probe.copy(), counter)
+                except NonFiniteError as exc:
+                    raise NonFiniteError(f"non-finite model output at probe {labels(i)}: {exc}") from None
+                replayed.append(output)
             outputs = np.column_stack(replayed)
         else:
             # counted once the block is known finite, as k passes over L-1 layers; a replayed block

@@ -158,11 +158,13 @@ class InstanceVector:
         return self.values.shape[0]
 
     def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
+        # numpy 2's protocol: the read-only values themselves unless a copy is asked for or needed, and
+        # ValueError where copy=False forbids a needed one
+        if dtype is not None and np.dtype(dtype) != self.values.dtype:
+            if copy is False:
+                raise ValueError(f"an instance is float64: {np.dtype(dtype)} needs a copy, which copy=False forbids")
             return self.values.astype(dtype)
-        if copy:
-            return self.values.copy()
-        return self.values
+        return self.values.copy() if copy else self.values
 
 
 def fold_bias(weights, bias) -> np.ndarray:

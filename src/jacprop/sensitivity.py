@@ -24,7 +24,9 @@ class SensitivityReport:
 
     Rankings hold 1-based indices sorted by descending score, ties broken
     by ascending index. ``per_entry`` keeps the raw matrix for drill-down
-    or alternative norms.
+    or alternative norms. The constructor makes the scores and
+    ``per_entry`` read-only, and pickle, ``copy`` and ``deepcopy`` rebuild
+    a report through it.
     """
 
     feature_scores: np.ndarray
@@ -33,6 +35,16 @@ class SensitivityReport:
     output_ranking: tuple[int, ...]
     per_entry: np.ndarray
     same_unit: bool = False
+
+    def __post_init__(self):
+        for arr in (self.feature_scores, self.output_scores, self.per_entry):
+            _freeze(arr)
+
+    def __reduce__(self):
+        return type(self), (
+            self.feature_scores, self.output_scores, self.feature_ranking, self.output_ranking, self.per_entry,
+            self.same_unit,
+        )
 
 
 def _rank(scores: np.ndarray) -> tuple[int, ...]:
@@ -104,14 +116,14 @@ def build_report(jacobian, same_unit: bool = False) -> SensitivityReport:
             if np.count_nonzero(matrix.compress(low, axis=1 - axis)):
                 scores = np.where(low, _scaled_norms(matrix, axis, name), scores)
                 ranking = _rank(scores)
-        axes.append((_freeze(scores), ranking))
+        axes.append((scores, ranking))
     (feature_scores, feature_ranking), (output_scores, output_ranking) = axes
     return SensitivityReport(
         feature_scores=feature_scores,
         output_scores=output_scores,
         feature_ranking=feature_ranking,
         output_ranking=output_ranking,
-        per_entry=_freeze(matrix.copy()),
+        per_entry=matrix.copy(),
         same_unit=bool(same_unit),
     )
 

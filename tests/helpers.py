@@ -2,11 +2,15 @@
 
 The oracles here deliberately avoid the package's vectorized code paths:
 ``flat_forward`` is a pure-Python loop re-implementation of the value
-pass, and ``fd_activation_jacobian`` differentiates activation values by
-central differences.
+pass, ``fd_activation_jacobian`` differentiates activation values by
+central differences, and ``decimal_activation`` computes values and slopes
+to 50 digits with stdlib ``decimal``.
 """
 
+import copy
 import math
+import pickle
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -159,3 +163,32 @@ def fd_activation_jacobian(spec, z, h=1e-6):
         minus[j] -= h
         jac[:, j] = (activation_apply(spec, plus) - activation_apply(spec, minus)) / (2.0 * h)
     return jac
+
+
+def clones(value):
+    """The value through ``pickle``, ``copy.copy`` and ``copy.deepcopy``."""
+    return pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)
+
+
+def decimal_activation(kind: str, z: float) -> tuple[Decimal, Decimal]:
+    """(value, slope) of tanh, logistic or softplus at z, to 50 significant digits.
+
+    z is taken as exact (``Decimal(float)`` is), as the engine's stored
+    weighted input is. Every form is a ratio of sums of positive terms,
+    built from ``exp`` and ``ln`` alone, so nothing cancels in saturation:
+    tanh' = 4 e^2z / (1 + e^2z)^2, logistic' = e^-z / (1 + e^-z)^2, and
+    softplus' is the logistic.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        t = Decimal(float(z))
+        if kind == "tanh":
+            e = (2 * t).exp()
+            return (e - 1) / (e + 1), 4 * e / (1 + e) ** 2
+        if kind == "logistic":
+            e = (-t).exp()
+            return 1 / (1 + e), e / (1 + e) ** 2
+        if kind == "softplus":
+            e = t.exp()
+            return (1 + e).ln(), e / (1 + e)
+    raise AssertionError(kind)

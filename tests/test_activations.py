@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from jacprop import (
     softmax,
     softmax_jacobian,
 )
-from helpers import fd_activation_jacobian, make_spec
+from helpers import clones, decimal_activation, fd_activation_jacobian, make_spec
 
 
 class TestApply:
@@ -107,6 +108,14 @@ class TestJacobian:
         with pytest.raises(ValueError):
             matrix[0, 0] = 1.0
 
+    @pytest.mark.parametrize("kind", ["softmax", "tanh", "relu"])
+    def test_copies_keep_a_read_only_matrix(self, kind):
+        result = activation_jacobian(make_spec(kind), [0.5, -1.0, 0.0])
+        for clone in clones(result):
+            assert not clone.matrix.flags.writeable
+            assert clone.matrix.tobytes() == result.matrix.tobytes()
+            assert clone.singular_hit is result.singular_hit
+
     def test_results_compare_and_hash_by_identity(self):
         # a generated __eq__ over the matrix would raise "truth value ... is ambiguous", and its __hash__ TypeError
         first, second = (activation_jacobian(ActivationSpec("softmax"), [0.1, -0.2, 0.3]) for _ in range(2))
@@ -155,6 +164,45 @@ class TestJacobian:
                 exact = activation_jacobian(spec, z).matrix
                 estimate = fd_activation_jacobian(spec, z, h=1e-6)
                 assert np.max(np.abs(exact - estimate)) <= 1e-6, kind
+
+
+def _worst_relative_errors(kind: str, z) -> tuple[Decimal, Decimal]:
+    """The largest relative errors of the package's value and slope against the 50-digit reference."""
+    spec = ActivationSpec(kind)
+    z = np.asarray(z, dtype=np.float64)
+    values, (slopes, _) = activation_apply(spec, z), elementwise_derivative(spec, z)
+    worst = [Decimal(0), Decimal(0)]
+    for point, value, slope in zip(z.tolist(), values.tolist(), slopes.tolist()):
+        for i, (got, exact) in enumerate(zip((value, slope), decimal_activation(kind, point))):
+            error = abs(Decimal(got) - exact)
+            worst[i] = max(worst[i], error / abs(exact) if exact else error)
+    return worst[0], worst[1]
+
+
+# relative error allowed against the 50-digit reference: today's worst on |z| <= 5 is tanh's slope, ~1e-12
+_REFERENCE_TOLERANCE = Decimal("1e-11")
+
+
+class TestHighPrecisionReference:
+    """Values and slopes against stdlib ``decimal`` at 50 digits, the weighted input taken as exact."""
+
+    @pytest.mark.parametrize("kind", ["tanh", "logistic", "softplus"])
+    def test_within_1e_11_relative_on_the_unsaturated_range(self, kind):
+        value_error, slope_error = _worst_relative_errors(kind, np.linspace(-5.0, 5.0, 2001))
+        assert value_error <= _REFERENCE_TOLERANCE and slope_error <= _REFERENCE_TOLERANCE
+
+    # ROADMAP item 1 (accurate values and slopes in saturation) turns these into passes
+    @pytest.mark.parametrize(
+        "kind,z,which",
+        [
+            pytest.param("tanh", 18.0, 1, id="tanh-slope-at-18"),
+            pytest.param("logistic", -30.0, 0, id="logistic-value-at-minus-30"),
+            pytest.param("logistic", -30.0, 1, id="logistic-slope-at-minus-30"),
+        ],
+    )
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: 1 - a*a and 0.5 (1 + tanh(z/2)) cancel in saturation")
+    def test_within_1e_11_relative_in_saturation(self, kind, z, which):
+        assert _worst_relative_errors(kind, [z])[which] <= _REFERENCE_TOLERANCE
 
 
 class TestSoftmaxProperties:

@@ -26,6 +26,7 @@ from jacprop import (
 )
 from jacprop import engine
 from helpers import (
+    clones,
     overflowing_activation_model,
     random_smooth_model,
     seeded_model,
@@ -620,6 +621,28 @@ class TestPrefixes:
         copy = pickle.loads(pickle.dumps(trace))
         for got, expected in zip(copy.per_layer, trace.per_layer):
             assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("read", ["nothing", "full", "every prefix"])
+    def test_copies_keep_read_only_arrays_and_bits(self, read):
+        # a copy rebuilds its prefixes from the factors, whichever slots the original had filled
+        folded = seeded_model(3, (3, 4, 2), ("leaky_relu", "softmax"), biased=(1, 2)), [0.5, -0.25, 1.0]
+        for model, x in (spec_seed7_model(), folded):
+            fresh = jacobian_forward(model, x)
+            full, prefixes = fresh.full.tobytes(), [jac.tobytes() for jac in fresh.per_layer]
+            trace = jacobian_forward(model, x)
+            if read == "full":
+                trace.full
+            elif read == "every prefix":
+                list(trace.per_layer)
+            for clone in clones(trace):
+                assert clone.full.tobytes() == full
+                assert [jac.tobytes() for jac in clone.per_layer] == prefixes
+                arrays = [*clone.activations, *clone.weighted_inputs, *clone.per_layer]
+                assert not any(arr.flags.writeable for arr in arrays)
+                assert [arr.tobytes() for arr in (*clone.activations, *clone.weighted_inputs)] == [
+                    arr.tobytes() for arr in (*trace.activations, *trace.weighted_inputs)
+                ]
+                assert clone.singular_hits == trace.singular_hits
 
     def test_concurrent_first_reads_agree(self):
         model = seeded_model(5, (6, 8, 8, 8, 8, 3), ("tanh", "relu", "softplus", "logistic", "softmax"))

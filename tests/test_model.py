@@ -1,6 +1,4 @@
-import copy
 import dataclasses
-import pickle
 
 import numpy as np
 import pytest
@@ -29,7 +27,7 @@ from jacprop import (
     save_model,
     validate_model,
 )
-from helpers import flat_forward, random_smooth_model, seeded_model, sweep_model, uncertified
+from helpers import clones, flat_forward, random_smooth_model, seeded_model, sweep_model, uncertified
 
 
 def _model(shapes_and_kinds, input_dim, biased=()):
@@ -245,6 +243,20 @@ class TestTypes:
         with pytest.raises(NonFiniteError):
             InstanceVector(values=np.array([1.0, np.inf]))
 
+    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0", reason="numpy 2's copy keyword")
+    def test_instance_vector_follows_numpys_copy_protocol(self):
+        instance = InstanceVector(values=[1.0, 2.0])
+        for dtype in (None, np.float64, "float64"):
+            assert np.asarray(instance, dtype=dtype, copy=False) is instance.values
+            assert np.asarray(instance, dtype=dtype) is instance.values
+            copy = np.asarray(instance, dtype=dtype, copy=True)
+            assert copy is not instance.values and copy.flags.writeable and copy.tolist() == [1.0, 2.0]
+        # as numpy does for the array itself
+        with pytest.raises(ValueError):
+            np.asarray(instance.values, dtype=np.float32, copy=False)
+        with pytest.raises(ValueError, match="^an instance is float64: float32 needs a copy, which copy=False forbids$"):
+            np.asarray(instance, dtype=np.float32, copy=False)
+
     def test_instance_vector_as_an_array(self):
         instance = InstanceVector(values=[1.0, 2.0])
         assert len(instance) == 2
@@ -326,7 +338,7 @@ class TestValue:
             model, x = sweep_model(seed)
             folded += any(layer.bias_folded for layer in model.layers)
             expected = _bits(model, x)
-            for clone in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model), copy.copy(model)):
+            for clone in clones(model):
                 assert clone == model and hash(clone) == hash(model), seed
                 assert clone._safe_input == model._safe_input
                 for layer, original in zip(clone.layers, model.layers):
@@ -339,7 +351,7 @@ class TestValue:
 
     def test_an_instance_stays_read_only_when_copied(self):
         instance = InstanceVector(values=[1.0, -0.0, 2.5])
-        for clone in (pickle.loads(pickle.dumps(instance)), copy.deepcopy(instance), copy.copy(instance)):
+        for clone in clones(instance):
             assert not clone.values.flags.writeable
             assert clone == instance and hash(clone) == hash(instance)
             assert clone.values.tobytes() == instance.values.tobytes()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from jacprop import DimensionMismatchError, NonFiniteError, build_report, emit_matrix, jacobian_forward, top_k
-from helpers import awkward_matrices, spec_seed7_model
+from helpers import awkward_matrices, clones, seeded_model, spec_seed7_model
 
 
 class TestBuildReport:
@@ -80,6 +80,20 @@ class TestBuildReport:
         first, second = build_report(matrix), build_report(matrix)
         assert first == first and first != second
         assert hash(first) == hash(first) and len({first, second}) == 2
+
+    def test_copies_keep_read_only_arrays(self):
+        folded = seeded_model(3, (3, 4, 2), ("leaky_relu", "softmax"), biased=(1, 2)), [0.5, -0.25, 1.0]
+        for model, x in (spec_seed7_model(), folded):
+            report = build_report(jacobian_forward(model, x).full, same_unit=True)
+            for clone in clones(report):
+                arrays = ("feature_scores", "output_scores", "per_entry")
+                assert not any(getattr(clone, name).flags.writeable for name in arrays)
+                assert [getattr(clone, name).tobytes() for name in arrays] == [
+                    getattr(report, name).tobytes() for name in arrays
+                ]
+                assert (clone.feature_ranking, clone.output_ranking, clone.same_unit) == (
+                    report.feature_ranking, report.output_ranking, True
+                )
 
     def test_scores_are_non_negative(self):
         rng = np.random.default_rng(2)
