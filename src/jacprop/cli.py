@@ -26,11 +26,12 @@ from .fd import FDConfig, _checked_tolerance, compare_jacobians, finite_differen
 from .model import LayeredModel, _checked_layer, forward
 from .model_io import (
     emit_matrix,
-    load_model,
     parse_vector,
     report_to_csv,
     report_to_json,
+    _decoded,
     _format_entry,
+    _read_model,
 )
 from .sensitivity import _checked_k, build_report
 
@@ -110,11 +111,8 @@ def _checked_option(flag: str, owner, *args, **kwargs):
 
 
 def _read_text(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    with open(path, "rb") as handle:
+        return _decoded(path, handle.read())
 
 
 def _load(args):
@@ -126,7 +124,7 @@ def _load(args):
         raise _UsageError("--input is required")
     if len(args.input) > 1:
         raise _UsageError("--input given more than once; ambiguous instance")
-    model = load_model(_read_text(args.model))
+    model = _read_model(args.model)
     if getattr(args, "strict_singularities", False):
         # ActivationSpec sets a policy on exactly the kinked kinds
         layers = tuple(
@@ -152,7 +150,7 @@ def _write(out, singular_hits=()) -> None:
 
 def _cmd_validate(args) -> int:
     try:
-        load_model(_read_text(args.model))
+        _read_model(args.model)
     except ModelValidationError as exc:
         for violation in exc.violations:
             print(violation)

@@ -23,10 +23,23 @@ Biases are folded into augmented weight matrices at load time and
 unfolded again on save, so documents round-trip bit-exactly.
 
 CSV dumps use %.17g per entry, which round-trips IEEE doubles exactly.
+
+The CLI reads a model document through :func:`_read_model`, which keeps
+the parsed model beside the document, in
+``<dir>/__jacprop_cache__/<name>.npz``, under the SHA-256 digest of the
+document's bytes, and rebuilds it from there while the bytes stay the
+same, as checked-hash ``.pyc`` files do (PEP 552). :func:`load_model`
+itself never touches the disk.
 """
 
+import contextlib
+import io
 import json
-from dataclasses import asdict
+import os
+import stat
+import tempfile
+import zipfile
+from dataclasses import asdict, astuple
 
 import numpy as np
 
@@ -107,12 +120,20 @@ def load_model(text: str) -> LayeredModel:
     :class:`ModelValidationError` when the parsed model breaks the
     structural invariants (dimension chain, finiteness).
     """
+    return _build_model(_parse_json(text))
+
+
+def _parse_json(text: str):
     try:
-        doc = json.loads(text, parse_int=_parse_int, object_pairs_hook=_unique_keys)
+        return json.loads(text, parse_int=_parse_int, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise FormatError(
             f"JSON syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+
+
+def _build_model(doc) -> LayeredModel:
+    """The model a parsed document describes: load_model's schema checks, after the JSON syntax."""
     if not isinstance(doc, dict):
         raise FormatError("model document must be a JSON object")
     _require_keys(doc, "model document", required=("schema_version", "input_dim", "layers"))
@@ -144,6 +165,113 @@ def load_model(text: str) -> LayeredModel:
         layer_defs.append(LayerDef(weights=weights, activation=activation, bias_folded=folded))
 
     return _validated(LayeredModel(layers=tuple(layer_defs), input_dim=input_dim))
+
+
+# names the sidecar layout and load_model's rules: change it whenever either changes, so that no sidecar
+# outlives the rules it was parsed under
+_SIDECAR_FORMAT = "jacprop-sidecar-1"
+_CACHE_DIR = "__jacprop_cache__"
+
+
+def _decoded(path: str, data: bytes) -> str:
+    """data as text-mode ``open(path, encoding="utf-8")`` reads it, newline translation included."""
+    try:
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as text:
+            return text.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
+def _read_model(path: str) -> LayeredModel:
+    """The model document at path, rebuilt from its sidecar when that holds the document's digest.
+
+    Otherwise the document is parsed as :func:`load_model` parses it,
+    with its errors, and a valid one is stored in a fresh sidecar. Only a
+    regular file on a system with effective user ids gets a sidecar.
+    """
+    # imported here, for the CLI alone: OpenSSL's libcrypto adds ~3.6 MB to a process's memory, and with
+    # it loaded the benchmark's wide-mlp library requests had a ~4% slower p90 (2-vCPU x86_64 VM)
+    import hashlib
+
+    with open(path, "rb") as handle:
+        cacheable = stat.S_ISREG(os.fstat(handle.fileno()).st_mode) and hasattr(os, "geteuid")
+        data = handle.read()
+    digest = hashlib.sha256(data).hexdigest()
+    sidecar = os.path.join(os.path.dirname(path), _CACHE_DIR, os.path.basename(path) + ".npz")
+    model = _from_sidecar(sidecar, digest) if cacheable else None
+    if model is None:
+        # the bytes go before the JSON parse and the text before the rows become arrays: a lower peak than
+        # load_model(open(path).read())'s, which holds the text to the end
+        text = _decoded(path, data)
+        del data
+        doc = _parse_json(text)
+        del text
+        model = _build_model(doc)
+        if cacheable:
+            _write_sidecar(sidecar, digest, model)
+    return model
+
+
+def _nonblocking(path: str, flags: int) -> int:
+    # a FIFO in the sidecar's place must not block the open: fstat turns it down
+    return os.open(path, flags | os.O_NONBLOCK)
+
+
+def _from_sidecar(sidecar: str, digest: str) -> LayeredModel | None:
+    """The model stored for digest, or None for a miss.
+
+    A sidecar is read only when it is a regular file owned by the
+    effective user and not writable by group or others. The layers are
+    rebuilt through their constructors, so the model derives its
+    structure checks, finiteness and safe input again; a stale, foreign
+    or damaged sidecar, or one that rebuilds an invalid model, is a miss.
+    """
+    try:
+        with open(sidecar, "rb", opener=_nonblocking) as handle:
+            st = os.fstat(handle.fileno())
+            shared = st.st_mode & (stat.S_IWGRP | stat.S_IWOTH)
+            if not stat.S_ISREG(st.st_mode) or st.st_uid != os.geteuid() or shared:
+                return None
+            stored = np.load(handle, allow_pickle=False)
+            if not isinstance(stored, np.lib.npyio.NpzFile):  # a bare .npy array, which has no context manager
+                return None
+            with stored:
+                tag, stored_digest, input_dim, specs = json.loads(stored["meta"].item())
+                if (tag, stored_digest) != (_SIDECAR_FORMAT, digest):
+                    return None
+                layers = []
+                for index, (*activation, folded) in enumerate(specs):
+                    weights = stored[f"w{index}"]
+                    if weights.dtype != np.float64:  # LayerDef would convert it; its shape is LayerDef's to check
+                        return None
+                    layers.append(LayerDef(weights, ActivationSpec(*activation), folded))
+        model = LayeredModel(layers=tuple(layers), input_dim=input_dim)
+    except (OSError, ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile):
+        return None
+    return None if model._violations else model
+
+
+def _write_sidecar(sidecar: str, digest: str, model: LayeredModel) -> None:
+    """Store a valid model under digest: a temporary file in the sidecar's directory, then ``os.replace``.
+
+    Any OSError (an unwritable directory, a file where the cache
+    directory would be, a full disk) leaves no sidecar, without a word.
+    """
+    specs = [[*astuple(layer.activation), layer.bias_folded] for layer in model.layers]
+    meta = np.array(json.dumps([_SIDECAR_FORMAT, digest, model.input_dim, specs]))
+    weights = {f"w{index}": layer.weights for index, layer in enumerate(model.layers)}
+    directory = os.path.dirname(sidecar)
+    with contextlib.suppress(OSError):
+        os.makedirs(directory, exist_ok=True)
+        fd, temporary = tempfile.mkstemp(suffix=".tmp", dir=directory)
+        try:
+            with open(fd, "wb") as handle:
+                np.savez(handle, meta=meta, **weights)
+            os.replace(temporary, sidecar)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(temporary)
+            raise
 
 
 def save_model(model: LayeredModel) -> str:

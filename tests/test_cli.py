@@ -25,11 +25,12 @@ PREFIX_OVERFLOW = '{"schema_version": "1", "input_dim": 2, "layers": [%s, %s, %s
 )
 
 
-def run_cli(*args):
+def run_cli(*args, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "jacprop", *args],
         capture_output=True,
         text=True,
+        cwd=cwd,
     )
 
 
@@ -79,6 +80,32 @@ class TestValidate:
         assert result.returncode == 1
         assert result.stdout == ""
         assert "error" in result.stderr
+
+
+class TestModelReadErrors:
+    """The errors of reading a model document: the same on a first run and on the run after it."""
+
+    @staticmethod
+    def assert_twice(expected, *args, cwd=None):
+        for run in ("first", "second"):
+            result = run_cli(*args, cwd=cwd)
+            assert (result.returncode, result.stdout, result.stderr) == expected, run
+
+    def test_non_utf8_document(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_bytes(b"\xff" + MINIMAL.encode())
+        message = f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+        self.assert_twice((1, "", message), "validate", "--model", str(path))
+
+    def test_directory(self, tmp_path):
+        self.assert_twice((1, "", "error: [Errno 21] Is a directory: '.'\n"), "validate", "--model", ".", cwd=tmp_path)
+
+    def test_lone_carriage_returns_are_newlines(self, tmp_path):
+        # as text-mode open translates them; a plain bytes.decode would give line 1, column 53
+        path = tmp_path / "m.json"
+        path.write_bytes(b'{\r"schema_version":"1",\r  "input_dim":2,\r  "layers" [\r}')
+        message = "error: JSON syntax error at line 4, column 12: Expecting ':' delimiter\n"
+        self.assert_twice((1, "", message), "validate", "--model", str(path))
 
 
 class TestForward:
