@@ -20,7 +20,7 @@ there is controlled by ``relu_zero_policy``:
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -83,15 +83,44 @@ class ActivationSpec:
             raise ValueError(f"relu_zero_policy is only valid for relu/leaky_relu, not {self.kind!r}")
 
 
+def _freeze(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+class _Rebuilt:
+    """A frozen dataclass that pickle, ``copy`` and ``deepcopy`` rebuild through its constructor.
+
+    They send the init fields, so every field reaches the copy, and the
+    constructor makes its arrays read-only again and a view a view again.
+    """
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+
+class _ByValue(_Rebuilt):
+    """A :class:`_Rebuilt` dataclass compared and hashed by its init fields, each array by its shape and bytes."""
+
+    def _key(self) -> tuple:
+        # the values a copy is rebuilt from
+        return tuple((v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v for v in self.__reduce__()[1])
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+
 @dataclass(frozen=True, eq=False)
-class ActivationJacobian:
+class ActivationJacobian(_Rebuilt):
     """Jacobian of an activation at a point, compared and hashed by identity.
 
     ``matrix`` is the dense n x n Jacobian (diagonal for elementwise
-    kinds), made read-only by the constructor, through which pickle,
-    ``copy`` and ``deepcopy`` rebuild it. ``singular_hit`` is set when a
-    relu/leaky_relu coordinate sat exactly at 0 and a fallback policy
-    supplied the value.
+    kinds), made read-only by the constructor. ``singular_hit`` is set
+    when a relu/leaky_relu coordinate sat exactly at 0 and a fallback
+    policy supplied the value.
     """
 
     matrix: np.ndarray
@@ -99,14 +128,6 @@ class ActivationJacobian:
 
     def __post_init__(self):
         _freeze(self.matrix)
-
-    def __reduce__(self):
-        return type(self), (self.matrix, self.singular_hit)
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
 
 
 def _all_finite(arr: np.ndarray) -> bool:

@@ -65,10 +65,10 @@ from dataclasses import dataclass
 import numpy as np
 
 # activation_apply stays importable here: perfbench/selftest.py's tracer test looks it up
-from .activations import _all_finite, _slope, activation_apply  # noqa: F401
+from .activations import _Rebuilt, _all_finite, _freeze, _slope, activation_apply  # noqa: F401
 from .errors import NonFiniteError, SingularityError
 from .instrumentation import EvalCounter
-from .model import LayerDef, LayeredModel, _checked_input, _checked_layer, _freeze, _guarded, _layer_values
+from .model import LayerDef, LayeredModel, _checked_input, _checked_layer, _guarded, _layer_values
 
 
 def _dense(slope: np.ndarray, linear: np.ndarray) -> np.ndarray:
@@ -145,7 +145,7 @@ class _Prefixes(Sequence):
 
 
 @dataclass(frozen=True, eq=False)
-class JacobianTrace:
+class JacobianTrace(_Rebuilt):
     """Everything produced by one Jacobian pass at one instance, compared and hashed by identity.
 
     ``per_layer`` is J[1..L] (J[1] = I_m at the input, J[L] = ``full``), a
@@ -166,9 +166,6 @@ class JacobianTrace:
     def __post_init__(self):
         for arr in (*self.activations, *self.weighted_inputs):
             _freeze(arr)
-
-    def __reduce__(self):
-        return type(self), (self.per_layer, self.activations, self.weighted_inputs, self.singular_hits)
 
     @property
     def full(self) -> np.ndarray:

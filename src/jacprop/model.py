@@ -26,27 +26,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activations import ActivationSpec, _as_finite_vector, _as_real, _freeze, _norms, activation_apply
+from .activations import ActivationSpec, _ByValue, _as_finite_vector, _as_real, _freeze, _norms, activation_apply
 from .errors import DimensionMismatchError, ModelValidationError, NonFiniteError
 from .instrumentation import EvalCounter
 
 
-def _key(arr: np.ndarray) -> tuple:
-    """An array's value as a hashable key: equal arrays have the same shape and bytes."""
-    return arr.shape, arr.tobytes()
-
-
 @dataclass(frozen=True, eq=False)
-class LayerDef:
+class LayerDef(_ByValue):
     """One weight layer: a dense matrix and its activation.
 
     ``bias_folded`` marks that the last weight column is a folded bias,
     consumed by a constant-1 input component appended at evaluation time.
     The weights are a read-only copy and ``linear_part`` a view of them.
-    Pickle, ``copy`` and ``deepcopy`` rebuild a layer through its
-    constructor, so a copy keeps both, and ``@`` gives its linear part the
-    original's bits. Layers compare and hash by value: the activation, the
-    flag, and the shape and bytes of the weights.
+    A copy or pickle is rebuilt through the constructor, so it keeps both,
+    and ``@`` gives its linear part the original's bits. Layers compare
+    and hash by value: the shape and bytes of the weights, the activation
+    and the flag.
     """
 
     weights: np.ndarray
@@ -66,18 +61,6 @@ class LayerDef:
         object.__setattr__(self, "weights", _freeze(w))
         object.__setattr__(self, "bias_folded", bool(self.bias_folded))
         object.__setattr__(self, "_linear", w[:, :-1] if self.bias_folded else w)
-
-    def __reduce__(self):
-        return type(self), (self.weights, self.activation, self.bias_folded)
-
-    def _value(self) -> tuple:
-        return self.activation, self.bias_folded, _key(self.weights)
-
-    def __eq__(self, other):
-        return self._value() == other._value() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._value())
 
     @property
     def output_dim(self) -> int:
@@ -136,7 +119,7 @@ class LayeredModel:
 
 
 @dataclass(frozen=True, eq=False)
-class InstanceVector:
+class InstanceVector(_ByValue):
     """A validated input instance: finite real features of fixed length, read-only, compared by value."""
 
     values: np.ndarray = field(repr=False)
@@ -144,15 +127,6 @@ class InstanceVector:
     def __post_init__(self):
         arr = _as_finite_vector(self.values, "instance")
         object.__setattr__(self, "values", _freeze(arr.copy()))
-
-    def __reduce__(self):
-        return type(self), (self.values,)
-
-    def __eq__(self, other):
-        return _key(self.values) == _key(other.values) if type(other) is type(self) else NotImplemented
-
-    def __hash__(self):
-        return hash(_key(self.values))
 
     def __len__(self) -> int:
         return self.values.shape[0]

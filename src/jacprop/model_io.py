@@ -35,6 +35,7 @@ itself never touches the disk.
 import contextlib
 import io
 import json
+import numbers
 import os
 import stat
 import tempfile
@@ -46,7 +47,7 @@ import numpy as np
 from .activations import ActivationSpec, _all_finite, _as_real
 from .errors import DimensionMismatchError, FormatError, NonFiniteError
 from .model import InstanceVector, LayerDef, LayeredModel, _validated, fold_bias
-from .sensitivity import SensitivityReport, _checked_k
+from .sensitivity import _AXES, SensitivityReport, _axis, _checked_k
 
 _NUMBER_TYPES = {int, float}  # what json.loads makes of a JSON number; bool is its own type
 
@@ -295,7 +296,10 @@ def emit_matrix(matrix, header: list[str] | None = None) -> str:
     """Format a matrix (or vector, as one row) as CSV text, %.17g entries.
 
     Raises :class:`DimensionMismatchError` naming the shape of an array
-    with more than 2 dimensions or of a matrix with no entries.
+    with more than 2 dimensions or of a matrix with no entries, and
+    ValueError for header labels that are not one per column or that
+    hold a comma, a double quote, a newline or a carriage return, any of
+    which a CSV reader takes as more fields or rows, or as quoting.
     """
     mat = _as_real(matrix, "matrix")
     if mat.ndim > 2:
@@ -309,8 +313,8 @@ def emit_matrix(matrix, header: list[str] | None = None) -> str:
     lines = []
     if header is not None:
         labels = [str(label) for label in header]
-        if any("," in label or "\n" in label for label in labels):
-            raise ValueError("header labels must not contain commas or newlines")
+        if any(char in label for label in labels for char in ',"\n\r'):
+            raise ValueError("header labels must not contain commas, double quotes, newlines or carriage returns")
         if len(labels) != mat.shape[1]:
             raise ValueError(f"{len(labels)} header labels for {mat.shape[1]} columns")
         lines.append(",".join(labels))
@@ -372,27 +376,36 @@ def report_to_json(
     singular_hits=(),
     k: int | None = None,
 ) -> str:
-    """Serialize a sensitivity report; ``k`` (>= 1) truncates the rankings only."""
+    """Serialize a sensitivity report; ``k`` (>= 1) truncates the rankings only.
+
+    Each singular hit must be a (layer, coordinate) pair of integers, not
+    bools: anything else raises ValueError naming the hit.
+    """
     n = None if k is None else _checked_k(k)
     doc = {
         "feature_scores": [float(v) for v in report.feature_scores],
         "output_scores": [float(v) for v in report.output_scores],
         "feature_ranking": list(report.feature_ranking[:n]),
         "output_ranking": list(report.output_ranking[:n]),
-        "singular_hits": [[int(layer), int(coord)] for layer, coord in singular_hits],
+        "singular_hits": [_checked_hit(hit) for hit in singular_hits],
         "same_unit": bool(report.same_unit),
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def _checked_hit(hit) -> list[int]:
+    pair = list(hit) if isinstance(hit, (tuple, list)) else []
+    if len(pair) != 2 or any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in pair):
+        raise ValueError(f"a singular hit must be a (layer, coordinate) pair of integers, got {hit!r}")
+    return [int(v) for v in pair]
 
 
 def report_to_csv(report: SensitivityReport, k: int | None = None) -> str:
     """CSV rows of (axis, index, score) in ranking order; ``k`` (>= 1) truncates."""
     n = None if k is None else _checked_k(k)
     lines = []
-    for axis, ranking, scores in (
-        ("feature", report.feature_ranking, report.feature_scores),
-        ("output", report.output_ranking, report.output_scores),
-    ):
+    for axis in _AXES:
+        ranking, scores = _axis(report, axis)
         for index in ranking[:n]:
             lines.append(f"{axis},{index},{_format_entry(scores[index - 1])}")
     return "\n".join(lines) + "\n"

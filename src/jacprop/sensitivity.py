@@ -13,13 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import _as_matrix
+from .activations import _Rebuilt, _as_matrix, _freeze
 from .errors import DimensionMismatchError, NonFiniteError
-from .model import _freeze
 
 
 @dataclass(frozen=True, eq=False)
-class SensitivityReport:
+class SensitivityReport(_Rebuilt):
     """Scores and rankings derived from one Jacobian, compared and hashed by identity.
 
     Rankings hold 1-based indices sorted by descending score, ties broken
@@ -39,12 +38,6 @@ class SensitivityReport:
     def __post_init__(self):
         for arr in (self.feature_scores, self.output_scores, self.per_entry):
             _freeze(arr)
-
-    def __reduce__(self):
-        return type(self), (
-            self.feature_scores, self.output_scores, self.feature_ranking, self.output_ranking, self.per_entry,
-            self.same_unit,
-        )
 
 
 def _rank(scores: np.ndarray) -> tuple[int, ...]:
@@ -73,6 +66,15 @@ def _scaled_norms(matrix: np.ndarray, axis: int, name: str) -> np.ndarray:
     if beyond.size:
         raise NonFiniteError(f"{name} {beyond[0] + 1} has a sensitivity score beyond float64's range")
     return scores
+
+
+# a report's axes, in the order its scores, rankings and errors take them: columns (axis 0), then rows
+_AXES = ("feature", "output")
+
+
+def _axis(report: SensitivityReport, axis: str) -> tuple[tuple[int, ...], np.ndarray]:
+    """(ranking, scores) of one of _AXES."""
+    return getattr(report, f"{axis}_ranking"), getattr(report, f"{axis}_scores")
 
 
 # a plain score below this may have lost its vector's squares to underflow; from it up, their sum is at least
@@ -106,7 +108,7 @@ def build_report(jacobian, same_unit: bool = False) -> SensitivityReport:
     # np.linalg.norm(matrix, axis=k) is sqrt of the sum of squares along k, and this squares once for both axes
     squares = matrix * matrix if peak * peak * max(matrix.shape) < _PLAIN_LIMIT else None
     axes = []
-    for axis, name in ((0, "feature"), (1, "output")):
+    for axis, name in enumerate(_AXES):
         scores = _scaled_norms(matrix, axis, name) if squares is None else np.sqrt(np.add.reduce(squares, axis=axis))
         ranking = _rank(scores)
         # a ranking ends at its smallest score: one lookup tells whether any score is that small
@@ -138,10 +140,7 @@ def _checked_k(k) -> int:
 
 def top_k(report: SensitivityReport, axis: str, k: int) -> list[tuple[int, float]]:
     """First min(k, axis length) (index, score) pairs of the chosen ranking."""
-    if axis == "feature":
-        ranking, scores = report.feature_ranking, report.feature_scores
-    elif axis == "output":
-        ranking, scores = report.output_ranking, report.output_scores
-    else:
+    if axis not in _AXES:
         raise ValueError(f"axis must be 'feature' or 'output', got {axis!r}")
+    ranking, scores = _axis(report, axis)
     return [(index, float(scores[index - 1])) for index in ranking[: _checked_k(k)]]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass, field
 from decimal import Decimal
 
 import numpy as np
@@ -21,7 +22,25 @@ from jacprop import (
     softmax,
     softmax_jacobian,
 )
+from jacprop.activations import _ByValue, _freeze, _Rebuilt
 from helpers import clones, decimal_activation, fd_activation_jacobian, make_spec
+
+
+@dataclass(frozen=True, eq=False)
+class Grown(_Rebuilt):
+    """A value type that gained a defaulted array field after its first one: every copy must keep both."""
+
+    matrix: np.ndarray
+    extra: np.ndarray = field(default_factory=lambda: np.zeros(0))
+
+    def __post_init__(self):
+        _freeze(self.matrix)
+        _freeze(self.extra)
+
+
+@dataclass(frozen=True, eq=False)
+class GrownByValue(_ByValue, Grown):
+    pass
 
 
 class TestApply:
@@ -115,6 +134,22 @@ class TestJacobian:
             assert not clone.matrix.flags.writeable
             assert clone.matrix.tobytes() == result.matrix.tobytes()
             assert clone.singular_hit is result.singular_hit
+
+    def test_copies_keep_every_init_field(self):
+        # a __reduce__ that listed the fields by hand would drop a field added later
+        value = Grown(np.array([[1.0, -0.0]]), extra=np.array([2.5, -3.0]))
+        for clone in clones(value):
+            assert type(clone) is Grown
+            assert clone.extra.tobytes() == value.extra.tobytes() and not clone.extra.flags.writeable
+            assert clone.matrix.tobytes() == value.matrix.tobytes() and not clone.matrix.flags.writeable
+
+    def test_a_later_field_counts_for_equality(self):
+        value = GrownByValue(np.array([[1.0]]), extra=np.array([2.5]))
+        assert value == GrownByValue(np.array([[1.0]]), extra=np.array([2.5]))
+        assert value != GrownByValue(np.array([[1.0]]), extra=np.array([-2.5]))
+        assert value != GrownByValue(np.array([[1.0]]))
+        for clone in clones(value):
+            assert clone == value and hash(clone) == hash(value)
 
     def test_results_compare_and_hash_by_identity(self):
         # a generated __eq__ over the matrix would raise "truth value ... is ambiguous", and its __hash__ TypeError

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -271,8 +273,11 @@ class TestMatrixDump:
     def test_optional_header(self):
         text = emit_matrix(np.array([[1.0, 2.0]]), header=["x1", "x2"])
         assert text == "x1,x2\n1,2\n"
-        with pytest.raises(ValueError):
-            emit_matrix(np.array([[1.0]]), header=["a,b"])
+        assert list(csv.reader(io.StringIO(text, newline=""))) == [["x1", "x2"], ["1", "2"]]
+        # csv.reader takes "a\rb" as two rows and '"x,y' as one quoted field
+        for labels in (["a,b", "c"], ["a\nb", "c"], ["a\rb", "c"], ['"x', "y"], ["x", 'y"']):
+            with pytest.raises(ValueError, match="^header labels must not contain commas, double quotes, newlines"):
+                emit_matrix(np.array([[1.0, 2.0]]), header=labels)
         with pytest.raises(ValueError, match="^1 header labels for 2 columns$"):
             emit_matrix(np.array([[1.0, 2.0]]), header=["x1"])
 
@@ -311,6 +316,16 @@ class TestReportSerialization:
         assert doc["feature_ranking"] == [2, 1]
         assert doc["singular_hits"] == [[2, 1]]
         assert doc["same_unit"] is False
+
+    def test_singular_hits_must_be_pairs_of_integers(self):
+        report = build_report([[1.0, 0.0], [0.0, 2.0]])
+        hits = [(2, 1), [np.int64(3), 2]]
+        assert json.loads(report_to_json(report, singular_hits=hits))["singular_hits"] == [[2, 1], [3, 2]]
+        # int() would write (2.5, 1) as [2, 1], a layer the trace never named
+        for hit in [(2.5, 1), (2, "1"), (True, 1), (2, np.float64(1.0)), (2,), (2, 1, 3), 2, "21", None]:
+            with pytest.raises(ValueError) as excinfo:
+                report_to_json(report, singular_hits=[(2, 1), hit])
+            assert str(excinfo.value) == f"a singular hit must be a (layer, coordinate) pair of integers, got {hit!r}"
 
     def test_top_k_truncates_rankings_only(self):
         report = build_report(np.eye(3))

@@ -7,6 +7,8 @@ last test runs the CLI in subprocesses under Python's development mode.
 """
 
 import errno
+import hashlib
+import inspect
 import json
 import os
 import shutil
@@ -293,3 +295,21 @@ def test_cold_and_warm_subprocesses_agree_in_development_mode(tmp_path):
         ]
         assert sidecar_of(path).is_file()
         assert [(r.returncode, r.stdout, r.stderr) for r in runs] == [(0, runs[0].stdout, "")] * 2, argv
+
+
+# the functions that hold load_model's rules and the sidecar layout; a change to any of them must come with a
+# new _SIDECAR_FORMAT, or old sidecars would rebuild models the new rules parse differently
+SIDECAR_RULES = (
+    "_parse_json", "_parse_int", "_unique_keys", "_build_model", "_require_keys", "_parse_weights", "_all_numbers",
+    "_parse_activation", "fold_bias", "_write_sidecar", "_from_sidecar",
+)
+
+
+def test_the_format_tag_is_pinned_with_the_rules_it_names():
+    # the source text, not ast.dump, whose output differs between Python versions
+    source = "".join(inspect.getsource(getattr(model_io, name)) for name in SIDECAR_RULES)
+    pinned = (model_io._SIDECAR_FORMAT, hashlib.sha256(source.encode("utf-8")).hexdigest())
+    assert pinned == ("jacprop-sidecar-1", "1cb545e517a91138d7259b0ceb96db531191025232268877a93e078b8d19e12b"), (
+        "the source of load_model's rules or of the sidecar layout changed: bump model_io._SIDECAR_FORMAT if a "
+        "rule or the layout changed, and keep it if the edit was cosmetic; either way, re-pin the tag and digest here"
+    )

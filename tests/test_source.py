@@ -172,12 +172,18 @@ def test_the_fold_is_called_only_by_the_prefixes(path):
 
 
 # a copy or pickle rebuilds a frozen container's read-only arrays writeable, and a view of them as a
-# detached copy, unless the class sends its fields back through its constructor
+# detached copy, unless the class sends its fields back through its constructor: by its own __reduce__,
+# or by activations._Rebuilt's, which _ByValue inherits
+REBUILT_BASES = frozenset({"_Rebuilt", "_ByValue"})
+
+
 def frozen_without_reduce(source: str) -> list[str]:
-    """Each class whose ``__post_init__`` calls ``_freeze`` and whose body defines no ``__reduce__``."""
+    """Each class whose ``__post_init__`` calls ``_freeze``, with no ``__reduce__`` of its own and no base in REBUILT_BASES."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.ClassDef):
+            continue
+        if REBUILT_BASES.intersection(getattr(base, "id", None) or getattr(base, "attr", None) for base in node.bases):
             continue
         methods = {item.name: item for item in node.body if isinstance(item, ast.FunctionDef)}
         freezes = "__post_init__" in methods and any(
@@ -204,6 +210,15 @@ def test_the_check_sees_a_frozen_container_without_reduce():
         "        object.__setattr__(self, 'w', np.asarray(w))\n"
         "    def build(self):\n"
         "        return _freeze(w)\n"
+        "class Based(activations._Rebuilt):\n"
+        "    def __post_init__(self):\n"
+        "        _freeze(self.w)\n"
+        "class Valued(_ByValue):\n"
+        "    def __post_init__(self):\n"
+        "        _freeze(self.w)\n"
+        "class Other(_Rebuilder, Sequence):  # _Rebuilt in a comment is not a base\n"
+        "    def __post_init__(self):\n"
+        "        _freeze(self.w)\n"
         "class Outer:\n"
         "    class Inner:\n"
         "        def __post_init__(self):\n"
@@ -211,7 +226,7 @@ def test_the_check_sees_a_frozen_container_without_reduce():
         "    def __reduce__(self):\n"
         "        return Outer, ()\n"
     )
-    assert frozen_without_reduce(source) == ["line 6: Lost", "line 15: Inner"]
+    assert frozen_without_reduce(source) == ["line 6: Lost", "line 20: Other", "line 24: Inner"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
