@@ -6,7 +6,7 @@ its value function and to its exact Jacobian slope: the diagonal of an
 elementwise kind's Jacobian, computed from the weighted input z and the
 stored value a (tanh' = 1-a^2, logistic' = a(1-a)), or softmax's dense
 matrix. That slope is what the forward Jacobian pass requires of each
-layer. The table also gives every kind the norms that bound its value and
+layer. The table also gives every kind one gain that bounds its value and
 its slope at any finite z, from which a model bounds its whole pass.
 
 relu and leaky_relu are not differentiable at exactly 0; the behaviour
@@ -233,22 +233,20 @@ def _leaky_relu(spec: ActivationSpec, z: np.ndarray) -> np.ndarray:
         return z * slopes
 
 
-# kind -> (value(spec, z), slope(spec, z, a) -> (slope, singular coordinates), norms(spec) -> (g, kappa)),
-# where the slope is the Jacobian's diagonal for elementwise kinds and the dense matrix for softmax.
-# The norms bound the kind for any finite z: |value| <= max(1, g max|z|) entrywise, or <= 1 where g is
-# None, and kappa bounds the largest absolute row sum of the slope (2 s_i (1 - s_i) <= 1/2 for softmax).
+# kind -> (value(spec, z), slope(spec, z, a) -> (slope, singular coordinates), gain(spec) -> c), where the
+# slope is the Jacobian's diagonal for elementwise kinds and the dense matrix for softmax. The gain c >= 1
+# bounds the kind for any finite z: |value| <= c max(1, |z|) entrywise, and the largest absolute row sum
+# of the slope is at most c (1/4 for logistic, 2 s_i (1 - s_i) <= 1/2 for softmax).
 _TABLE = {
-    "identity": (lambda spec, z: z.copy(), lambda spec, z, a: (np.ones(z.shape), []), lambda spec: (1.0, 1.0)),
-    "logistic": (lambda spec, z: _logistic(z), lambda spec, z, a: (a * (1.0 - a), []), lambda spec: (None, 0.25)),
-    "tanh": (lambda spec, z: np.tanh(z), lambda spec, z, a: (1.0 - a * a, []), lambda spec: (None, 1.0)),
-    # z + log1p(exp(-z)) for positive z, log1p(exp(z)) otherwise; log(1 + e^t) <= max(1, 2t) for t >= 0
-    "softplus": (
-        lambda spec, z: np.logaddexp(0.0, z), lambda spec, z, a: (_logistic(z), []), lambda spec: (2.0, 1.0)
-    ),
-    "relu": (lambda spec, z: np.maximum(z, 0.0), _kinked_slope, lambda spec: (1.0, 1.0)),
-    "leaky_relu": (_leaky_relu, _kinked_slope, lambda spec: (max(1.0, spec.alpha),) * 2),
+    "identity": (lambda spec, z: z.copy(), lambda spec, z, a: (np.ones(z.shape), []), lambda spec: 1.0),
+    "logistic": (lambda spec, z: _logistic(z), lambda spec, z, a: (a * (1.0 - a), []), lambda spec: 1.0),
+    "tanh": (lambda spec, z: np.tanh(z), lambda spec, z, a: (1.0 - a * a, []), lambda spec: 1.0),
+    # z + log1p(exp(-z)) for positive z, log1p(exp(z)) otherwise; log(1 + e^t) <= 2 max(1, t) for t >= 0
+    "softplus": (lambda spec, z: np.logaddexp(0.0, z), lambda spec, z, a: (_logistic(z), []), lambda spec: 2.0),
+    "relu": (lambda spec, z: np.maximum(z, 0.0), _kinked_slope, lambda spec: 1.0),
+    "leaky_relu": (_leaky_relu, _kinked_slope, lambda spec: max(1.0, spec.alpha)),
     # softmax_jacobian is looked up at call time, so a wrapper put on the module's name sees the call
-    "softmax": (lambda spec, z: softmax(z), lambda spec, z, a: (softmax_jacobian(z), []), lambda spec: (None, 0.5)),
+    "softmax": (lambda spec, z: softmax(z), lambda spec, z, a: (softmax_jacobian(z), []), lambda spec: 1.0),
 }
 
 
@@ -281,8 +279,8 @@ def _slope(spec: ActivationSpec, z: np.ndarray, a: np.ndarray) -> tuple[np.ndarr
     return _TABLE[spec.kind][1](spec, z, a)
 
 
-def _norms(spec: ActivationSpec) -> tuple[float | None, float]:
-    """(g, kappa): the value growth and the slope norm of the table, for a model's overflow bound."""
+def _gain(spec: ActivationSpec) -> float:
+    """The table's gain c >= 1, which bounds the kind's value and slope, for a model's overflow bound."""
     return _TABLE[spec.kind][2](spec)
 
 

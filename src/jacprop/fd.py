@@ -60,8 +60,9 @@ _BLOCK_BYTES = 1 << 20
 
 def _block_columns(model: LayeredModel) -> int:
     """How many probes one block holds: the pass over one column keeps at most every
-    layer's input (bias row included), z and a, of 8 bytes each, which the model counted when it was built."""
-    return max(1, _BLOCK_BYTES // model._column_bytes)
+    layer's input (bias row included), z and a, of 8 bytes each."""
+    column_bytes = sum(8 * (cols + 2 * rows) for rows, cols in (layer.weights.shape for layer in model.layers))
+    return max(1, _BLOCK_BYTES // column_bytes)
 
 
 def _probe_outputs(model: LayeredModel, vec: np.ndarray, rows, values, labels, counter) -> np.ndarray:

@@ -11,11 +11,11 @@ augmented matrix (bias as the last column) and applies it to its input
 extended by a constant 1. See :func:`fold_bias`.
 
 A model checks its structure once, when it is built, and in the same walk
-over the layers computes its safe input: the largest max|x| below which
-no value and no Jacobian product of a pass can overflow, from the layer
-norm product ||J|| <= prod kappa_l ||W_l|| (Szegedy et al., ICLR 2014;
-Virmaux & Scaman, NeurIPS 2018). A pass over an input below it skips
-the Jacobian's overflow tests, which cannot fail there (see
+over the layers computes its safe input: an input magnitude below which
+no value and no Jacobian product of a pass can overflow, from one product
+of layer norms, each times its activation's gain (Szegedy et al., ICLR
+2014; Virmaux & Scaman, NeurIPS 2018). A pass over an input below it
+skips the Jacobian's overflow tests, which cannot fail there (see
 :func:`_survey`). One helper, :func:`_guarded`, runs every pass: a plain
 call below the safe input, and under ``np.errstate`` at or above it.
 """
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activations import ActivationSpec, _ByValue, _as_finite_vector, _as_real, _freeze, _norms, activation_apply
+from .activations import ActivationSpec, _ByValue, _as_finite_vector, _as_real, _freeze, _gain, activation_apply
 from .errors import DimensionMismatchError, ModelValidationError, NonFiniteError
 from .instrumentation import EvalCounter
 
@@ -87,7 +87,6 @@ class LayeredModel:
     _violations: tuple[str, ...] = field(init=False, compare=False, repr=False)
     # see _survey
     _safe_input: float = field(init=False, compare=False, repr=False)
-    _column_bytes: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         layers = tuple(self.layers)
@@ -103,10 +102,9 @@ class LayeredModel:
             raise ValueError("input_dim must be a positive integer")
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "input_dim", int(self.input_dim))
-        violations, safe_input, column_bytes = _survey(self)
+        violations, safe_input = _survey(self)
         object.__setattr__(self, "_violations", violations)
         object.__setattr__(self, "_safe_input", safe_input)
-        object.__setattr__(self, "_column_bytes", column_bytes)
 
     @property
     def layer_count(self) -> int:
@@ -165,42 +163,29 @@ def fold_bias(weights, bias) -> np.ndarray:
 _LIMIT = 2.0**1000
 
 
-def _survey(model: LayeredModel) -> tuple[tuple[str, ...], float, int]:
-    """One walk over the layers: the structural violations, the safe input and FD's bytes per probe.
+def _survey(model: LayeredModel) -> tuple[tuple[str, ...], float]:
+    """One walk over the layers: the structural violations and the safe input.
 
     The violations are the verdict :func:`validate_model` reports. The
-    safe input is the largest max|x| at which no value, weighted input or
-    Jacobian product of a pass can exceed 2^1000, and 0.0 where no input
-    is safe or the model is invalid. A layer's largest absolute row sum is
-    at most rho = n max|w| over its n columns, the bias column counted,
-    and at most rho' = (n - 1) max|w| without a folded bias column (rho'
-    = rho for a layer without one). One reduction per layer gives both,
-    and it is the finiteness test the walk makes anyway:
-
-    - every weighted input is at most max(max|x|, 1) times the product of
-      rho max(1, g) over the layers since the last tanh, logistic or
-      softmax (after which a value is at most 1), and every value at most
-      max(1, g) times its weighted input (the activation table's g);
-    - every prefix, every partial product of the output-end fold and every
-      product on the way (W J, C D) is at most the product of
-      max(1, kappa) max(1, rho') over the layers (the table's slope norm
-      kappa): the one bound that does not depend on x.
-
-    The bytes per probe are what the value pass over one column keeps:
-    every layer's input (bias row included), z and a, of 8 bytes each.
+    safe input is 2^1000 / P, where P is the product over the layers of
+    c max(1, n max|w|): the activation table's gain c times the layer's
+    n columns (the bias column counted) times its largest absolute weight.
+    It is 0.0 where P exceeds 2^1000 or the model is invalid. One
+    reduction per layer gives max|w|, and it is the finiteness test the
+    walk makes anyway. Since n max|w| bounds a layer's absolute row sums,
+    and c bounds both |a| <= c max(1, |z|) and the slope's row sums,
+    induction over the layers bounds every weighted input and every value
+    of a pass by P max(1, max|x|), and every prefix, every partial product
+    of the output-end fold and every product on the way (W J, C D) by P.
     """
     if not model.layers:
-        return ("model has no layers; at least one weight layer is required",), 0.0, 0
+        return ("model has no layers; at least one weight layer is required",), 0.0
     violations: list[str] = []
     prev_size = model.input_dim
     prev_name = f"input_dim {model.input_dim}"
-    # the bound so far: jacobian on every product; on the values, reach times max(max|x|, 1) while scaled,
-    # and reach alone once a layer has bounded its values by 1
-    safe, jacobian, reach, scaled = math.inf, 1.0, 1.0, True
-    column_bytes = 0
+    bound = 1.0
     for pos, layer in enumerate(model.layers, start=1):
         rows, cols = layer.weights.shape
-        column_bytes += 8 * (cols + 2 * rows)
         if rows < 1 or cols < 1:
             violations.append(
                 f"layer {pos}: weight matrix must have at least one row and one column, got {rows}x{cols}"
@@ -214,27 +199,10 @@ def _survey(model: LayeredModel) -> tuple[tuple[str, ...], float, int]:
             if cols != expected:
                 suffix = " plus the folded bias column" if layer.bias_folded else ""
                 violations.append(f"layer {pos}: weight column count {cols} does not match {prev_name}{suffix}")
+            bound *= _gain(layer.activation) * max(1.0, cols * peak)
         prev_size = rows
         prev_name = f"layer {pos} output size {rows}"
-        if violations:
-            continue
-        rho = cols * peak
-        rho_linear = (cols - 1) * peak if layer.bias_folded else rho
-        growth, kappa = _norms(layer.activation)
-        jacobian *= max(1.0, kappa) * max(1.0, rho_linear)
-        top = rho * reach * (1.0 if growth is None else growth)
-        if scaled:
-            if top > 0.0:
-                safe = min(safe, _LIMIT / top)
-        elif top > _LIMIT:
-            safe = 0.0
-        if growth is None:
-            reach, scaled = 1.0, False
-        else:
-            reach *= max(1.0, growth * rho)
-    if violations or jacobian > _LIMIT or safe < 1.0:
-        safe = 0.0
-    return tuple(violations), safe, column_bytes
+    return tuple(violations), 0.0 if violations or bound > _LIMIT else _LIMIT / bound
 
 
 def validate_model(model: LayeredModel) -> list[str]:

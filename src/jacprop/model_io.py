@@ -349,8 +349,8 @@ def parse_vector(text: str) -> InstanceVector:
 
 
 def parse_matrix(text: str) -> np.ndarray:
-    """Parse rectangular CSV text into a matrix."""
-    raw_lines = text.replace("\r\n", "\n").split("\n")
+    """Parse rectangular CSV text into a matrix; a line ends at \\n, \\r\\n or a lone \\r."""
+    raw_lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     while raw_lines and raw_lines[-1] == "":
         raw_lines.pop()
     if not raw_lines:

@@ -688,12 +688,33 @@ def _jacobian_bounds(model):
     return bounds
 
 
+def _near_limit_model(seed):
+    """sweep_model(seed), leaky_relu with alpha 4, each layer's weights scaled by a power of two so that the
+    model's bound, the product of c max(1, n max|w|) over the layers, lies in [2^990, 2^1000)."""
+    model, x = sweep_model(seed)
+    share = 995.0 / len(model.layers)
+    layers = []
+    for layer in model.layers:
+        spec = ActivationSpec("leaky_relu", alpha=4.0) if layer.activation.kind == "leaky_relu" else layer.activation
+        gain = {"leaky_relu": 4.0, "softplus": 2.0}.get(spec.kind, 1.0)
+        # each layer's factor within a factor sqrt(2) of 2^share, far above 1
+        row_sum = layer.weights.shape[1] * np.abs(layer.weights).max()
+        scaled = np.ldexp(layer.weights, round(share - np.log2(gain * row_sum)))
+        layers.append(LayerDef(weights=scaled, activation=spec, bias_folded=layer.bias_folded))
+    near = LayeredModel(layers=tuple(layers), input_dim=model.input_dim)
+    assert 1.0 < near._safe_input <= 2.0**10, seed
+    return near, x
+
+
 def _bound_models():
-    """Acceptance criterion 1's models, and the sweep's of every kind with folded biases and softmax anywhere."""
+    """Acceptance criterion 1's models, the sweep's of every kind with folded biases and softmax anywhere, and
+    sweep models scaled to just below the bound's limit."""
     for seed in range(200):
         yield random_smooth_model(seed)
     for seed in range(400):
         yield sweep_model(seed)
+    for seed in range(400, 500):
+        yield _near_limit_model(seed)
 
 
 class TestSafeInput:
@@ -716,7 +737,15 @@ class TestSafeInput:
                 assert all(np.isfinite(a).all() for a in values + prefixes)
                 for prefix, bound in zip(prefixes, _jacobian_bounds(model)):
                     assert np.abs(prefix).sum(axis=1).max() <= bound * (1.0 + 1e-12)
-        assert certified == 600
+        assert certified == 700
+
+    def test_the_near_limit_family_covers_every_kind(self):
+        models = [model for model, _ in map(_near_limit_model, range(400, 500))]
+        assert {layer.activation.kind for model in models for layer in model.layers} == {
+            "identity", "logistic", "tanh", "softplus", "relu", "leaky_relu", "softmax"
+        }
+        assert any(layer.bias_folded for model in models for layer in model.layers)
+        assert any(model.layers[-1].activation.kind == "softmax" for model in models)
 
     def test_the_certified_path_gives_the_checked_paths_bits(self):
         for model, x in _bound_models():
@@ -760,8 +789,8 @@ class TestSafeInput:
 
     def test_a_steep_leaky_relu_is_bounded_by_its_slope_alone(self):
         # the fold multiplies C = F[4] = 2^500 by the slope 2^600 before the weight 2^-600 comes in: a bound of
-        # kappa rho = 1 for that layer would certify a pass whose product overflows, so the bound takes
-        # max(1, kappa) max(1, rho') and the checked path finds J = 2^950 input-to-output
+        # c n max|w| = 1 for that layer would certify a pass whose product overflows, so the bound takes
+        # c max(1, n max|w|) and the checked path finds J = 2^950 input-to-output
         steep = ActivationSpec("leaky_relu", alpha=2.0**600)
         model = LayeredModel(
             layers=(

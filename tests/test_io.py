@@ -246,11 +246,15 @@ class TestMatrixDump:
     def test_matrix_rejects_empty_text_and_blank_lines(self):
         with pytest.raises(FormatError, match="^empty CSV document$"):
             parse_matrix("")
-        with pytest.raises(FormatError, match="^row 2: empty line inside CSV document$"):
-            parse_matrix("1\n\n2\n")
+        for text in ("1\n\n2\n", "1\r\r2"):
+            with pytest.raises(FormatError, match="^row 2: empty line inside CSV document$"):
+                parse_matrix(text)
 
     def test_matrix_round_trips_trailing_newline(self):
-        assert np.array_equal(parse_matrix("1,2\n3,4\n"), [[1.0, 2.0], [3.0, 4.0]])
+        # a line ends at \n, \r\n or a lone \r, as csv.reader and parse_vector take them
+        for text in ("1,2\n3,4\n", "1,2\r3,4", "1,2\r3,4\r", "1,2\r\n3,4\r\n", "1,2\n3,4\r"):
+            assert list(csv.reader(io.StringIO(text, newline=""))) == [["1", "2"], ["3", "4"]]
+            assert np.array_equal(parse_matrix(text), [[1.0, 2.0], [3.0, 4.0]])
 
     def test_emit_rejects_an_empty_matrix(self):
         # CSV text without entries would not parse back

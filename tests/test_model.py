@@ -358,32 +358,32 @@ class TestValue:
 
 
 class TestSafeInput:
-    """The largest max|x| at which no value and no Jacobian product can pass 2^1000, fixed when a model is built."""
+    """A max|x| below which no value and no Jacobian product can pass 2^1000, fixed when a model is built."""
 
-    def test_values_grow_until_a_layer_bounds_them_by_one(self):
+    def test_the_bound_is_one_product_of_gains_and_row_sums(self):
         # 2 max(|x|, 1) <= 2^1000 for one identity layer of weight 2
         assert _model([(np.full((1, 1), 2.0), "identity")], 1)._safe_input == 2.0**999
-        # softplus doubles a value above 1, leaky_relu grows it by alpha; the bias column counts for values
+        # softplus has gain 2, leaky_relu max(1, alpha); the bias column counts
         assert _model([(np.full((1, 1), 2.0), "softplus")], 1)._safe_input == 2.0**998
         steep = ActivationSpec("leaky_relu", alpha=4.0)
         leaky = LayeredModel(layers=(LayerDef(weights=[[2.0, 2.0]], activation=steep, bias_folded=True),), input_dim=1)
         assert leaky._safe_input == 2.0**996
-        # after tanh a value is at most 1, and no later layer depends on x
-        for weight, safe in ((2.0**400, 2.0**997), (2.0**1001, 0.0)):
+        # every layer counts, a saturating one too: 8 2^400 and 8 2^1001
+        for weight, safe in ((2.0**400, 2.0**597), (2.0**1001, 0.0)):
             assert _model([(np.full((1, 1), 8.0), "tanh"), (np.full((1, 1), weight), "identity")], 1)._safe_input == safe
-        # a model whose weights are all zero is safe at every input
-        assert _model([(np.zeros((2, 2)), "relu")], 2)._safe_input == np.inf
+        # a model whose weights are all zero has the bound 1
+        assert _model([(np.zeros((2, 2)), "relu")], 2)._safe_input == 2.0**1000
 
     def test_a_jacobian_beyond_the_limit_certifies_no_input(self):
-        # the bound takes max(1, kappa) max(1, rho') per layer: a slope norm of 1/4 (logistic) or 1/2
-        # (softmax) does not bring 2^600 2^600 under the limit
+        # the bound takes c max(1, n max|w|) per layer, with a gain c >= 1: a slope norm of 1/4 (logistic)
+        # or 1/2 (softmax) does not bring 2^600 2^600 under the limit
         for kind in ("logistic", "softmax", "tanh"):
             model = _model([(np.full((1, 1), 2.0**600), kind), (np.full((1, 1), 2.0**600), "identity")], 1)
             assert model._safe_input == 0.0, kind
-        # tanh keeps every value within 1, so the Jacobian bound alone decides: 2^500 2^500 is the limit itself
+        # 2^500 2^500 is the limit itself, so only inputs below 1 are certified
         at_limit = _model([(np.full((1, 1), 2.0**500), "tanh"), (np.full((1, 1), 2.0**500), "tanh")], 1)
         beyond = _model([(np.full((1, 1), 2.0**500), "tanh"), (np.full((1, 1), 2.0**500 * (1 + 2.0**-52)), "tanh")], 1)
-        assert at_limit._safe_input == 2.0**500
+        assert at_limit._safe_input == 1.0
         assert beyond._safe_input == 0.0
 
     def test_an_invalid_model_is_never_safe(self):

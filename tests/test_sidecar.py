@@ -281,7 +281,7 @@ def test_a_rebuilt_model_equals_a_fresh_parse(tmp_path, parses, model):
     assert len(parses) == 1
     fresh = load_model(text)
     assert rebuilt == fresh
-    assert (rebuilt._safe_input, rebuilt._column_bytes) == (fresh._safe_input, fresh._column_bytes)
+    assert rebuilt._safe_input == fresh._safe_input
     assert all(not layer.weights.flags.writeable for layer in rebuilt.layers)
 
 
