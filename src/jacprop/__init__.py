@@ -30,8 +30,8 @@ from .errors import (
     SingularityError,
 )
 from .fd import ComparisonResult, FDConfig, compare_jacobians, finite_difference_jacobian
-from .instrumentation import EvalCounter
 from .model import (
+    EvalCounter,
     InstanceVector,
     LayerDef,
     LayeredModel,

@@ -26,10 +26,6 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError, SingularityError
 
-KINDS = frozenset(
-    {"identity", "logistic", "tanh", "softplus", "relu", "leaky_relu", "softmax"}
-)
-ELEMENTWISE_KINDS = KINDS - {"softmax"}
 ZERO_POLICIES = frozenset({"derivative_zero", "derivative_one", "reject"})
 
 _KINKED = frozenset({"relu", "leaky_relu"})
@@ -186,13 +182,16 @@ def _logistic(z: np.ndarray) -> np.ndarray:
 def softmax(z: np.ndarray) -> np.ndarray:
     """softmax of a vector; a matrix is taken column by column.
 
-    Raises :class:`NonFiniteError` when a column's maximum is not finite,
-    which is exactly when the result would hold NaN. An entry of -inf
-    below a finite maximum has weight exactly 0.
+    Raises ``ValueError`` for an empty input, then for a scalar or an
+    array of 3 or more dimensions, and :class:`NonFiniteError` when a
+    column's maximum is not finite, which is exactly when the result would
+    hold NaN. An entry of -inf below a finite maximum has weight exactly 0.
     """
     z = _as_real(z, "softmax input")
     if z.size < 1:
         raise ValueError("softmax requires a vector of length >= 1")
+    if z.ndim not in (1, 2):
+        raise ValueError(f"softmax input must be a vector or a matrix of columns, got shape {z.shape}")
     peak = np.maximum.reduce(z)
     # a vector's maximum is a scalar, which math.isfinite tests at a fraction of numpy's cost
     if not (math.isfinite(peak) if z.ndim == 1 else _all_finite(peak)):
@@ -248,6 +247,8 @@ _TABLE = {
     # softmax_jacobian is looked up at call time, so a wrapper put on the module's name sees the call
     "softmax": (lambda spec, z: softmax(z), lambda spec, z, a: (softmax_jacobian(z), []), lambda spec: 1.0),
 }
+KINDS = frozenset(_TABLE)
+ELEMENTWISE_KINDS = KINDS - {"softmax"}
 
 
 def activation_apply(spec: ActivationSpec, z) -> np.ndarray:

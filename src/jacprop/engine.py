@@ -67,8 +67,7 @@ import numpy as np
 # activation_apply stays importable here: perfbench/selftest.py's tracer test looks it up
 from .activations import _Rebuilt, _all_finite, _freeze, _slope, activation_apply  # noqa: F401
 from .errors import NonFiniteError, SingularityError
-from .instrumentation import EvalCounter
-from .model import LayerDef, LayeredModel, _checked_input, _checked_layer, _guarded, _layer_values
+from .model import EvalCounter, LayerDef, LayeredModel, _checked_input, _checked_layer, _guarded, _layer_values
 
 
 def _dense(slope: np.ndarray, linear: np.ndarray) -> np.ndarray:

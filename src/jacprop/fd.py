@@ -7,9 +7,12 @@ costs exactly m+1 model evaluations, the central scheme exactly 2m.
 The probes are stacked as the columns of a matrix and go through the
 model's one value pass in column blocks of bounded size (``_BLOCK_BYTES``),
 so a check on a wide input needs memory of the order of the budget, not
-of m^2. Only a block that holds a non-finite value is evaluated again one
-probe at a time, which names the first probe that overflows and the
-layer, exactly as evaluating every probe on its own would.
+of m^2. Every probe's output goes into its column of one (n, probes)
+matrix, written there by its block. Only a block that holds a non-finite
+value is evaluated again one probe at a time, each writing its own
+column, which names the first probe that overflows and the layer,
+exactly as evaluating every probe on its own would. An ``EvalCounter``
+counts each evaluated probe once, whichever way it ran.
 """
 
 from dataclasses import dataclass
@@ -18,8 +21,7 @@ import numpy as np
 
 from .activations import _all_finite, _as_matrix, _as_real, _checked_real
 from .errors import DimensionMismatchError, NonFiniteError
-from .instrumentation import EvalCounter
-from .model import LayeredModel, _checked_input, _layer_values
+from .model import EvalCounter, LayeredModel, _checked_input, _layer_values
 
 SCHEMES = frozenset({"forward", "central"})
 
@@ -69,38 +71,38 @@ def _probe_outputs(model: LayeredModel, vec: np.ndarray, rows, values, labels, c
     """F at every probe, as the columns of one matrix; probe i is x with coordinate rows[i] set to values[i].
 
     Each probe is built once, as a column of its block, and the block goes
-    through the value pass. A block with a non-finite value passes its
-    columns again one at a time, in order, each as a vector: the first
-    probe to overflow is named (``labels(i)``) with its layer, and the
-    counter counts just the evaluations made that way.
+    through the value pass; its outputs are written into their columns of
+    the matrix. A block with a non-finite value passes its columns again
+    one at a time, in order, each as a vector whose output fills its
+    column: the first probe to overflow is named (``labels(i)``) with its
+    layer, and the counter counts just the evaluations made that way.
     """
     size = _block_columns(model)
-    blocks = []
+    outputs = np.empty((model.output_dim, len(rows)))
     for start in range(0, len(rows), size):
         block_rows = rows[start : start + size]
-        block = vec.repeat(len(block_rows)).reshape(-1, len(block_rows))
-        block[block_rows, np.arange(len(block_rows))] = values[start : start + size]
+        k = len(block_rows)
+        block = vec.repeat(k).reshape(-1, k)
+        block[block_rows, np.arange(k)] = values[start : start + size]
         try:
-            for *_, outputs in _layer_values(model, block):
+            # a starred target would build a list per layer, a measurable share of a tiny model's FD call
+            for _, _, _, a in _layer_values(model, block):
                 pass
         except NonFiniteError:
-            replayed = []
             # each column as a C-contiguous copy: a strided view gives .dot other bits than a probe of its own
             for i, probe in enumerate(block.T, start=start):
                 try:
-                    *_, (_, _, _, output) = _layer_values(model, probe.copy(), counter)
+                    *_, (_, _, _, outputs[:, i]) = _layer_values(model, probe.copy(), counter)
                 except NonFiniteError as exc:
                     raise NonFiniteError(f"non-finite model output at probe {labels(i)}: {exc}") from None
-                replayed.append(output)
-            outputs = np.column_stack(replayed)
         else:
+            outputs[:, start : start + k] = a
             # counted once the block is known finite, as k passes over L-1 layers; a replayed block
             # counts its own probes
             if counter is not None:
-                counter.count_model_eval(len(block_rows))
-                counter.count_weighted_input(len(block_rows) * len(model.layers))
-        blocks.append(outputs)
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+                counter.model_evals += k
+                counter.weighted_input_evals += k * len(model.layers)
+    return outputs
 
 
 def finite_difference_jacobian(
@@ -177,7 +179,9 @@ def compare_jacobians(a, b, tolerance: float) -> ComparisonResult:
     when it has more than 2 dimensions, naming the shapes when they
     differ or hold no entries, and :class:`NonFiniteError` naming the
     argument (``a`` or ``b``) that holds a NaN or an infinity: no
-    difference to it is meaningful.
+    difference to it is meaningful. Raises :class:`NonFiniteError` naming
+    the 1-based (row, col) of the first difference beyond float64's range,
+    where no tolerance, not even inf, has a meaningful verdict.
     """
     # both are cast before either shape is checked, so b's cast error comes before a's shape
     mat_a, mat_b = _as_real(a, "a"), _as_real(b, "b")
@@ -190,10 +194,14 @@ def compare_jacobians(a, b, tolerance: float) -> ComparisonResult:
     for name, matrix in (("a", mat_a), ("b", mat_b)):
         if not _all_finite(matrix):
             raise NonFiniteError(f"{name} contains non-finite entries")
-    diff = np.abs(mat_a - mat_b)
+    # two finite entries may differ by more than float64 holds: inf, which the largest entry then is
+    with np.errstate(over="ignore"):
+        diff = np.abs(mat_a - mat_b)
     # the first largest entry in row-major order, as np.unravel_index(np.argmax(diff), shape) gives it
     row, col = divmod(int(diff.argmax()), diff.shape[1])
     max_abs = float(diff[row, col])
+    if max_abs == np.inf:
+        raise NonFiniteError(f"a - b is beyond float64's range at ({row + 1}, {col + 1})")
     max_rel = float(np.maximum.reduce(diff / (1.0 + np.abs(mat_a)), axis=None))
     return ComparisonResult(
         max_abs_diff=max_abs,

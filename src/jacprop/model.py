@@ -18,6 +18,11 @@ of layer norms, each times its activation's gain (Szegedy et al., ICLR
 skips the Jacobian's overflow tests, which cannot fail there (see
 :func:`_survey`). One helper, :func:`_guarded`, runs every pass: a plain
 call below the safe input, and under ``np.errstate`` at or above it.
+
+An optional :class:`EvalCounter`, defined beside :func:`_layer_values`,
+counts evaluations: two plain integers that the value pass adds to, as
+does the finite-difference oracle for a block of probes it has found
+finite.
 """
 
 import math
@@ -28,7 +33,6 @@ import numpy as np
 
 from .activations import ActivationSpec, _ByValue, _as_finite_vector, _as_real, _freeze, _gain, activation_apply
 from .errors import DimensionMismatchError, ModelValidationError, NonFiniteError
-from .instrumentation import EvalCounter
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,6 +249,28 @@ def _checked_layer(layer, low: int, high: int) -> int:
     return int(layer)
 
 
+@dataclass
+class EvalCounter:
+    """Counts the work of model evaluations, for the one-pass-vs-finite-difference cost comparison.
+
+    ``model_evals`` grows by one per full evaluation of the model (a plain
+    forward pass, one finite-difference probe, or one Jacobian pass), and
+    ``weighted_input_evals`` by one per weighted input W a, L-1 times per
+    full evaluation. A value pass over k instances at once (the
+    finite-difference probes, stacked as columns) counts k of each, as k
+    separate passes would. Two plain integers that the passes add to, and
+    ``reset()``; not safe for concurrent increments, so run instrumented
+    operations single-threaded.
+    """
+
+    model_evals: int = 0
+    weighted_input_evals: int = 0
+
+    def reset(self) -> None:
+        self.model_evals = 0
+        self.weighted_input_evals = 0
+
+
 # the constant-1 component a folded bias meets in a pass over one instance
 _ONE = _freeze(np.ones(1))
 
@@ -269,7 +295,7 @@ def _layer_values(model: LayeredModel, vec: np.ndarray, counter: EvalCounter | N
     """
     columns = 1 if vec.ndim == 1 else vec.shape[1]
     if counter is not None:
-        counter.count_model_eval(columns)
+        counter.model_evals += columns
     ones = _ONE if vec.ndim == 1 else np.ones((1, columns))
     a = vec
     for net_layer, layer in enumerate(model.layers, start=2):
@@ -279,7 +305,7 @@ def _layer_values(model: LayeredModel, vec: np.ndarray, counter: EvalCounter | N
         # product that @'s sum turns into +0
         z = layer.weights.dot(src) if layer.weights.shape[1] > 1 else layer.weights @ src
         if counter is not None:
-            counter.count_weighted_input(columns)
+            counter.weighted_input_evals += columns
         try:
             a = activation_apply(layer.activation, z)  # checks z, and a where it can overflow
         except NonFiniteError:

@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the package's vectorized code paths:
 ``flat_forward`` is a pure-Python loop re-implementation of the value
 pass, ``fd_activation_jacobian`` differentiates activation values by
-central differences, and ``decimal_activation`` computes values and slopes
-to 50 digits with stdlib ``decimal``.
+central differences, ``decimal_activation`` computes values and slopes
+to 50 digits with stdlib ``decimal``, and ``decimal_jacobian`` builds a
+whole pass and the Jacobian J* from them at the same precision.
 """
 
 import copy
@@ -170,18 +171,18 @@ def clones(value):
     return pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)
 
 
-def decimal_activation(kind: str, z: float) -> tuple[Decimal, Decimal]:
+def decimal_activation(kind: str, z) -> tuple[Decimal, Decimal]:
     """(value, slope) of tanh, logistic or softplus at z, to 50 significant digits.
 
-    z is taken as exact (``Decimal(float)`` is), as the engine's stored
-    weighted input is. Every form is a ratio of sums of positive terms,
-    built from ``exp`` and ``ln`` alone, so nothing cancels in saturation:
-    tanh' = 4 e^2z / (1 + e^2z)^2, logistic' = e^-z / (1 + e^-z)^2, and
-    softplus' is the logistic.
+    A float z is taken as exact (``Decimal(float)`` is), as the engine's
+    stored weighted input is; a ``Decimal`` z is used as it is. Every form
+    is a ratio of sums of positive terms, built from ``exp`` and ``ln``
+    alone, so nothing cancels in saturation: tanh' = 4 e^2z / (1 + e^2z)^2,
+    logistic' = e^-z / (1 + e^-z)^2, and softplus' is the logistic.
     """
     with localcontext() as ctx:
         ctx.prec = 50
-        t = Decimal(float(z))
+        t = z if isinstance(z, Decimal) else Decimal(float(z))
         if kind == "tanh":
             e = (2 * t).exp()
             return (e - 1) / (e + 1), 4 * e / (1 + e) ** 2
@@ -192,3 +193,57 @@ def decimal_activation(kind: str, z: float) -> tuple[Decimal, Decimal]:
             e = t.exp()
             return (1 + e).ln(), e / (1 + e)
     raise AssertionError(kind)
+
+
+def _decimal_elementwise(spec, z: Decimal) -> tuple[Decimal, Decimal]:
+    """(value, slope) of an elementwise kind at an exact z; relu and leaky_relu branch on z itself."""
+    if spec.kind == "identity":
+        return z, Decimal(1)
+    if spec.kind in ("relu", "leaky_relu"):
+        low = Decimal(0) if spec.kind == "relu" else Decimal(spec.alpha)
+        if z != 0:
+            return (z, Decimal(1)) if z > 0 else (low * z, low)
+        # at the kink, the slope the fallback policy gives (under reject the engine raises first)
+        return Decimal(0), Decimal(1) if spec.relu_zero_policy == "derivative_one" else low
+    return decimal_activation(spec.kind, z)
+
+
+def decimal_jacobian(model, x):
+    """The Jacobian J* of a model at x to 50 significant digits, and each layer's pass.
+
+    Weights and x enter exactly, as ``Decimal(float)`` takes them; every
+    weighted input z* = W a* is summed in ``Decimal``, and values and
+    slopes come from :func:`decimal_activation`'s forms. relu and
+    leaky_relu branch on z* itself. Softmax's factor is applied to
+    P = W J without forming it, as s_i (P_i - sum_k s_k P_k). No numpy
+    arithmetic is used. Returns ``(jacobian, layers)``: J* as a list of
+    rows, and per weight layer ``(inputs, z, slope)``, where ``inputs`` is
+    a* (with the folded bias's 1 appended) and ``slope`` the Jacobian's
+    diagonal for an elementwise kind and s for softmax.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a = [Decimal(float(v)) for v in x]
+        jacobian = [[Decimal(int(i == j)) for j in range(len(a))] for i in range(len(a))]
+        layers = []
+        for layer in model.layers:
+            inputs = a + [Decimal(1)] if layer.bias_folded else a
+            weights = [[Decimal(float(w)) for w in row] for row in layer.weights]
+            z = [sum(w * v for w, v in zip(row, inputs)) for row in weights]
+            # P = W J over the linear part: the bias column meets no row of J
+            product = [
+                [sum(row[k] * jacobian[k][j] for k in range(len(jacobian))) for j in range(len(jacobian[0]))]
+                for row in weights
+            ]
+            if layer.activation.kind == "softmax":
+                peak = max(z)
+                exps = [(v - peak).exp() for v in z]
+                total = sum(exps)
+                a = slope = [e / total for e in exps]
+                means = [sum(s * row[j] for s, row in zip(slope, product)) for j in range(len(product[0]))]
+                jacobian = [[s * (p - mean) for p, mean in zip(row, means)] for s, row in zip(slope, product)]
+            else:
+                a, slope = map(list, zip(*(_decimal_elementwise(layer.activation, v) for v in z)))
+                jacobian = [[d * p for p in row] for d, row in zip(slope, product)]
+            layers.append((inputs, z, slope))
+        return jacobian, layers

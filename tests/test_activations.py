@@ -312,6 +312,14 @@ class TestSoftmaxProperties:
         assert softmax(np.array([-np.inf, 1.0])).tolist() == [0.0, 1.0]
         assert softmax(np.array([[-np.inf, 2.0], [0.0, -np.inf]])).tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
+    @pytest.mark.parametrize("z,shape", [(5.0, r"\(\)"), (np.zeros((2, 2, 2)), r"\(2, 2, 2\)")], ids=["scalar", "3-d"])
+    def test_only_a_vector_or_a_matrix_of_columns_is_taken(self, z, shape):
+        # as activation_apply refuses them; an empty input keeps its own message
+        with pytest.raises(ValueError, match=f"^softmax input must be a vector or a matrix of columns, got shape {shape}$"):
+            softmax(z)
+        with pytest.raises(ValueError, match="^softmax requires a vector of length >= 1$"):
+            softmax(np.zeros((0, 2, 2)))
+
     @pytest.mark.parametrize("z", [[np.nan, 1.0], [np.inf, 1.0], [-np.inf, -np.inf], [-np.inf, 1.0]])
     def test_the_checked_entry_points_keep_their_message(self, z):
         # activation_apply and softmax_jacobian check z before softmax sees it

@@ -290,6 +290,18 @@ class TestCompare:
             with pytest.raises(NonFiniteError, match=f"^{name} contains non-finite entries$"):
                 compare_jacobians(a, b, tolerance=1.0)
 
+    @pytest.mark.parametrize(
+        "a,b,location",
+        [([[1e308]], [[-1e308]], r"\(1, 1\)"), ([[0.0, 1.0], [-1e308, 1e308]], [[5.0, 1.0], [1e308, -1e308]], r"\(2, 1\)")],
+        ids=["1x1", "2x2"],
+    )
+    def test_a_difference_beyond_float64_is_refused(self, a, b, location):
+        # finite entries, an infinite difference: no tolerance, inf included, gives it a verdict, and the
+        # subtraction's overflow warning (an error here) does not escape
+        for tolerance in (1.0, float("inf")):
+            with pytest.raises(NonFiniteError, match=f"^a - b is beyond float64's range at {location}$"):
+                compare_jacobians(a, b, tolerance)
+
     @pytest.mark.parametrize("tolerance", [-1.0, float("nan")])
     def test_negative_or_nan_tolerance_rejected(self, tolerance):
         matrix = np.eye(2)
