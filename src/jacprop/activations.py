@@ -136,6 +136,20 @@ def _all_finite(arr: np.ndarray) -> bool:
     return np.count_nonzero(np.isfinite(arr)) == arr.size
 
 
+def _guarded(safe: bool, fn, *args):
+    """fn(*args), with numpy's overflow warnings silenced only where something can overflow.
+
+    A plain call where the caller knows that nothing can (a model's pass
+    below its safe input, see ``model._survey``); under
+    ``np.errstate(over="ignore", invalid="ignore")`` otherwise, where the
+    caller's own tests name what overflows. The package's one errstate.
+    """
+    if safe:
+        return fn(*args)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return fn(*args)
+
+
 _FLOAT64 = np.dtype(np.float64)
 
 
@@ -196,13 +210,10 @@ def softmax(z: np.ndarray) -> np.ndarray:
     # a vector's maximum is a scalar, which math.isfinite tests at a fraction of numpy's cost
     if not (math.isfinite(peak) if z.ndim == 1 else _all_finite(peak)):
         raise NonFiniteError("softmax input contains NaN or +inf, or a column of only -inf")
-    # a vector's spread is taken between Python floats, which overflow to inf without a numpy warning
-    if z.ndim == 1 and math.isfinite(float(peak) - float(np.minimum.reduce(z))):
-        shifted = np.exp(z - peak)
-    else:
-        # entries more than float64's range below the maximum shift to -inf, and exp(-inf) is their exact 0
-        with np.errstate(over="ignore"):
-            shifted = np.exp(z - peak)
+    # a vector's spread is taken between Python floats, which overflow to inf without a numpy warning; where
+    # it does not fit, entries more than float64's range below the maximum shift to -inf, and exp gives their 0
+    fits = z.ndim == 1 and math.isfinite(float(peak) - float(np.minimum.reduce(z)))
+    shifted = np.exp(_guarded(fits, np.subtract, z, peak))
     return shifted / np.add.reduce(shifted)
 
 
@@ -224,12 +235,9 @@ def _kinked_slope(spec: ActivationSpec, z: np.ndarray, a: np.ndarray) -> tuple[n
 
 
 def _leaky_relu(spec: ActivationSpec, z: np.ndarray) -> np.ndarray:
-    slopes = np.where(z > 0.0, 1.0, spec.alpha)
-    if spec.alpha <= 1.0:  # |alpha z| <= |z|
-        return z * slopes
-    # alpha * z may overflow where the slope is finite: the value is then -inf, which activation_apply refuses
-    with np.errstate(over="ignore"):
-        return z * slopes
+    # |alpha z| <= |z| up to alpha 1; above it alpha z may overflow: the value is then -inf, which
+    # activation_apply refuses
+    return _guarded(spec.alpha <= 1.0, np.multiply, z, np.where(z > 0.0, 1.0, spec.alpha))
 
 
 # kind -> (value(spec, z), slope(spec, z, a) -> (slope, singular coordinates), gain(spec) -> c), where the

@@ -55,8 +55,8 @@ bound ``LayeredModel`` computes from its weights (see
 nothing is tested, so ``jacobian_forward`` leaves J[L] to its first
 reader. At or above it the call reads J[L] itself, so an overflow of
 ``full`` is raised by the call. The pass and every slot fill run
-through ``model._guarded``, which enters ``np.errstate`` only at or
-above the safe input. Either way the bits are the same.
+through ``activations._guarded``, which enters ``np.errstate`` only at
+or above the safe input. Either way the bits are the same.
 """
 
 from collections.abc import Sequence
@@ -65,9 +65,9 @@ from dataclasses import dataclass
 import numpy as np
 
 # activation_apply stays importable here: perfbench/selftest.py's tracer test looks it up
-from .activations import _Rebuilt, _all_finite, _freeze, _slope, activation_apply  # noqa: F401
+from .activations import _Rebuilt, _all_finite, _freeze, _guarded, _slope, activation_apply  # noqa: F401
 from .errors import NonFiniteError, SingularityError
-from .model import EvalCounter, LayerDef, LayeredModel, _checked_input, _checked_layer, _guarded, _layer_values
+from .model import EvalCounter, LayerDef, LayeredModel, _checked_input, _checked_layer, _layer_values
 
 
 def _dense(slope: np.ndarray, linear: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import _all_finite, _as_matrix, _as_real, _checked_real
+from .activations import _all_finite, _as_matrix, _as_real, _checked_real, _guarded
 from .errors import DimensionMismatchError, NonFiniteError
 from .model import EvalCounter, LayeredModel, _checked_input, _layer_values
 
@@ -105,6 +105,48 @@ def _probe_outputs(model: LayeredModel, vec: np.ndarray, rows, values, labels, c
     return outputs
 
 
+def _estimate(model: LayeredModel, vec: np.ndarray, cfg: FDConfig, counter: EvalCounter | None) -> np.ndarray:
+    """The estimate at a checked vector x, which may hold non-finite entries.
+
+    An x_j + h, a probe and a difference of two probe outputs may each
+    leave float64: every probe reports its own overflow, and
+    :func:`finite_difference_jacobian`, which runs this through
+    ``_guarded``, checks the estimate as a whole.
+    """
+    h = cfg.step
+    m = vec.shape[0]
+    # an x_j + h that overflows is inf, and its probe reports it
+    high = vec + h
+    # each scheme's low side, its probes in the order evaluating them one at a time takes, their labels,
+    # and the two column sets its estimate subtracts
+    if cfg.scheme == "forward":
+        # the base point (coordinate 1 set to itself), then x + h e_j
+        low = vec
+        rows = np.concatenate(([0], np.arange(m)))
+        values = np.concatenate((vec[:1], high))
+
+        def labels(i: int) -> str:
+            return f"x + h e_{i}" if i else "base point"
+
+        plus, minus = slice(1, None), slice(0, 1)
+    else:
+        # x + h e_j, then x - h e_j
+        low = vec - h
+        rows = np.arange(m).repeat(2)
+        values = np.array((high, low)).T.ravel()
+
+        def labels(i: int) -> str:
+            return f"x {'+-'[i % 2]} h e_{i // 2 + 1}"
+
+        plus, minus = slice(0, None, 2), slice(1, None, 2)
+    spacing = high - low
+    if np.count_nonzero(spacing) < m:
+        j = int(np.flatnonzero(spacing == 0.0)[0])
+        raise ValueError(f"step {h!r} vanishes in rounding at input coordinate {j + 1} (value {float(vec[j])!r})")
+    outputs = _probe_outputs(model, vec, rows, values, labels, counter)
+    return (outputs[:, plus] - outputs[:, minus]) / spacing
+
+
 def finite_difference_jacobian(
     model: LayeredModel, x, cfg: FDConfig | None = None, counter: EvalCounter | None = None
 ) -> np.ndarray:
@@ -122,42 +164,8 @@ def finite_difference_jacobian(
     is not finite, for instance when two finite probe outputs differ by
     more than float64 can hold.
     """
-    cfg = _DEFAULT_CONFIG if cfg is None else cfg
     vec, _ = _checked_input(model, x)
-    h = cfg.step
-    m = vec.shape[0]
-    # every probe reports its own overflow, and the estimate is checked as a whole
-    with np.errstate(over="ignore", invalid="ignore"):
-        # an x_j + h that overflows is inf, and its probe reports it
-        high = vec + h
-        # each scheme's low side, its probes in the order evaluating them one at a time takes, their labels,
-        # and the two column sets its estimate subtracts
-        if cfg.scheme == "forward":
-            # the base point (coordinate 1 set to itself), then x + h e_j
-            low = vec
-            rows = np.concatenate(([0], np.arange(m)))
-            values = np.concatenate((vec[:1], high))
-
-            def labels(i: int) -> str:
-                return f"x + h e_{i}" if i else "base point"
-
-            plus, minus = slice(1, None), slice(0, 1)
-        else:
-            # x + h e_j, then x - h e_j
-            low = vec - h
-            rows = np.arange(m).repeat(2)
-            values = np.array((high, low)).T.ravel()
-
-            def labels(i: int) -> str:
-                return f"x {'+-'[i % 2]} h e_{i // 2 + 1}"
-
-            plus, minus = slice(0, None, 2), slice(1, None, 2)
-        spacing = high - low
-        if np.count_nonzero(spacing) < m:
-            j = int(np.flatnonzero(spacing == 0.0)[0])
-            raise ValueError(f"step {h!r} vanishes in rounding at input coordinate {j + 1} (value {float(vec[j])!r})")
-        outputs = _probe_outputs(model, vec, rows, values, labels, counter)
-        estimate = (outputs[:, plus] - outputs[:, minus]) / spacing
+    estimate = _guarded(False, _estimate, model, vec, _DEFAULT_CONFIG if cfg is None else cfg, counter)
     if not _all_finite(estimate):
         column = int(np.flatnonzero(~np.isfinite(estimate).all(axis=0))[0]) + 1
         raise NonFiniteError(f"non-finite finite-difference estimate in column {column}")
@@ -195,8 +203,7 @@ def compare_jacobians(a, b, tolerance: float) -> ComparisonResult:
         if not _all_finite(matrix):
             raise NonFiniteError(f"{name} contains non-finite entries")
     # two finite entries may differ by more than float64 holds: inf, which the largest entry then is
-    with np.errstate(over="ignore"):
-        diff = np.abs(mat_a - mat_b)
+    diff = np.abs(_guarded(False, np.subtract, mat_a, mat_b))
     # the first largest entry in row-major order, as np.unravel_index(np.argmax(diff), shape) gives it
     row, col = divmod(int(diff.argmax()), diff.shape[1])
     max_abs = float(diff[row, col])

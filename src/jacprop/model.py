@@ -16,8 +16,9 @@ no value and no Jacobian product of a pass can overflow, from one product
 of layer norms, each times its activation's gain (Szegedy et al., ICLR
 2014; Virmaux & Scaman, NeurIPS 2018). A pass over an input below it
 skips the Jacobian's overflow tests, which cannot fail there (see
-:func:`_survey`). One helper, :func:`_guarded`, runs every pass: a plain
-call below the safe input, and under ``np.errstate`` at or above it.
+:func:`_survey`). Every pass runs through ``activations._guarded``, the
+package's one overflow guard: a plain call below the safe input, and
+under ``np.errstate`` at or above it.
 
 An optional :class:`EvalCounter`, defined beside :func:`_layer_values`,
 counts evaluations: two plain integers that the value pass adds to, as
@@ -31,7 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activations import ActivationSpec, _ByValue, _as_finite_vector, _as_real, _freeze, _gain, activation_apply
+from .activations import (
+    ActivationSpec, _ByValue, _as_finite_vector, _as_real, _freeze, _gain, _guarded, activation_apply,
+)
 from .errors import DimensionMismatchError, ModelValidationError, NonFiniteError
 
 
@@ -289,8 +292,8 @@ def _layer_values(model: LayeredModel, vec: np.ndarray, counter: EvalCounter | N
     l+1. Each z (and a leaky_relu value with alpha > 1) is checked once,
     as a whole, by ``activation_apply``; errors name network layers
     (2..L), overflow included, so the consumer reads it through
-    :func:`_guarded`, which silences numpy's overflow warnings only where
-    something can overflow. Assumes the model already validated and
+    ``activations._guarded``, which silences numpy's overflow warnings
+    only where something can overflow. Assumes the model already validated and
     ``vec`` checked.
     """
     columns = 1 if vec.ndim == 1 else vec.shape[1]
@@ -312,20 +315,6 @@ def _layer_values(model: LayeredModel, vec: np.ndarray, counter: EvalCounter | N
             what = "activation" if np.isfinite(z).all() else "weighted input"
             raise NonFiniteError(f"non-finite {what} at layer {net_layer}") from None
         yield net_layer, layer, z, a
-
-
-def _guarded(safe: bool, fn, *args):
-    """fn(*args), with numpy's overflow warnings silenced only where something can overflow.
-
-    A plain call when the input is below the model's safe input, where
-    nothing can (see :func:`_survey`); under ``np.errstate(over="ignore",
-    invalid="ignore")`` otherwise, where the pass's own tests name what
-    overflows (see :func:`_layer_values`).
-    """
-    if safe:
-        return fn(*args)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return fn(*args)
 
 
 def forward(model: LayeredModel, x, counter: EvalCounter | None = None) -> list[np.ndarray]:

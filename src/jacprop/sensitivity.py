@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import _Rebuilt, _as_matrix, _freeze
+from .activations import _Rebuilt, _as_matrix, _freeze, _guarded
 from .errors import DimensionMismatchError, NonFiniteError
 
 
@@ -60,8 +60,7 @@ def _scaled_norms(matrix: np.ndarray, axis: int, name: str) -> np.ndarray:
     """
     exponents = np.frexp(np.maximum.reduce(np.abs(matrix), axis=axis, keepdims=True))[1]
     scaled = np.ldexp(matrix, -exponents)
-    with np.errstate(over="ignore"):
-        scores = np.ldexp(np.sqrt(np.add.reduce(scaled * scaled, axis=axis)), exponents.squeeze(axis))
+    scores = _guarded(False, np.ldexp, np.sqrt(np.add.reduce(scaled * scaled, axis=axis)), exponents.squeeze(axis))
     beyond = np.flatnonzero(~np.isfinite(scores))
     if beyond.size:
         raise NonFiniteError(f"{name} {beyond[0] + 1} has a sensitivity score beyond float64's range")

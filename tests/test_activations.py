@@ -351,15 +351,20 @@ class TestValueRule:
             for arr in (np.array(z), np.array(z)[:, np.newaxis], np.array([z, z[::-1]]).T):
                 assert np.isfinite(activation_apply(spec, arr)).all(), (spec, z)
 
-    def test_only_a_leaky_relu_above_one_enters_an_errstate(self, monkeypatch):
-        entered = []
+    @pytest.fixture
+    def entered(self, monkeypatch):
+        """The keyword arguments of each ``np.errstate`` entered while the test runs."""
+        calls = []
         errstate = np.errstate
 
         def counting(**kwargs):
-            entered.append(kwargs)
+            calls.append(kwargs)
             return errstate(**kwargs)
 
         monkeypatch.setattr(np, "errstate", counting)
+        return calls
+
+    def test_only_a_leaky_relu_above_one_enters_an_errstate(self, entered):
         z = np.array([1e300, -3.0, 0.0, 2.5])
         for spec in _RULE_SPECS:
             entered.clear()
@@ -369,6 +374,23 @@ class TestValueRule:
         entered.clear()
         activation_apply(ActivationSpec("softmax"), [1e308, -1e308])
         assert len(entered) == 1
+
+    @pytest.mark.parametrize(
+        "z,count",
+        [
+            pytest.param([1.0, -2.0, 0.5], 0, id="vector"),
+            pytest.param([1e308, -1e307, 0.0], 0, id="vector-whose-spread-just-fits"),
+            pytest.param([1e308, -1e308], 1, id="vector-too-wide"),
+            pytest.param([0.0, -np.inf], 1, id="vector-with-minus-inf"),
+            pytest.param([[1.0, 2.0], [-2.0, 0.5]], 1, id="matrix"),
+            pytest.param([[1.0], [-2.0]], 1, id="one-column"),
+        ],
+    )
+    def test_only_a_softmax_vector_whose_spread_fits_enters_no_errstate(self, entered, z, count):
+        # the shift by the maximum is the one step that can overflow, and a vector's spread says whether it does
+        value = softmax(np.array(z))
+        assert len(entered) == count
+        assert np.isfinite(value).all() and np.all(value >= 0.0)
 
     def test_a_leaky_relu_above_one_still_refuses_an_overflowing_value(self):
         spec = ActivationSpec("leaky_relu", alpha=2.0)

@@ -96,37 +96,55 @@ def test_no_dot_calls_outside_the_value_pass(path):
     assert dot_calls(path.read_text(encoding="utf-8")) == []
 
 
-# a pass silences invalid operations in one place, model._guarded, which knows when nothing can overflow;
-# fd.py keeps its own, since its probes step past x and its estimate divides by the spacing
-def errstate_invalid_calls(source: str) -> list[str]:
-    """Each call of an ``errstate`` attribute that passes ``invalid=``."""
+# numpy overflows quietly in one place, activations._guarded, which each caller enters only where its own
+# tests name what overflows
+def errstate_uses(source: str, owner: str | None = None) -> list[str]:
+    """Each use of ``errstate``, by name or as an attribute, outside the body of a top-level function ``owner``."""
+    tree = ast.parse(source)
+    owned = {
+        id(node)
+        for function in tree.body
+        if isinstance(function, ast.FunctionDef) and function.name == owner
+        for node in ast.walk(function)
+    }
     found = [
         node.lineno
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "errstate"
-        and any(keyword.arg == "invalid" for keyword in node.keywords)
+        for node in ast.walk(tree)
+        if id(node) not in owned
+        and (getattr(node, "id", None) == "errstate" or getattr(node, "attr", None) == "errstate")
     ]
-    return [f"line {line}: errstate(invalid=...)" for line in sorted(found)]
+    return [f"line {line}: errstate" for line in sorted(found)]
 
 
-def test_the_check_sees_an_errstate_with_invalid():
+def test_the_check_sees_an_errstate_outside_the_guard():
     source = (
         "import numpy as np\n"
+        "from numpy import errstate\n"
+        "def _guarded(safe, fn, *args):\n"
+        "    with np.errstate(over='ignore', invalid='ignore'):\n"
+        "        return fn(*args)\n"
         "with np.errstate(over='ignore'):  # np.errstate(invalid='ignore') in a comment is not code\n"
         "    pass\n"
-        "with np.errstate(over='ignore', invalid='ignore'):\n"
-        "    pass\n"
-        "with np.errstate(all='ignore'), numpy.errstate(invalid='raise'):\n"
-        "    pass\n"
+        "def f():\n"
+        "    def _guarded():\n"
+        "        with errstate(all='ignore'), numpy.errstate(invalid='raise'):\n"
+        "            pass\n"
+        "quiet = np.errstate\n"
     )
-    assert errstate_invalid_calls(source) == ["line 4: errstate(invalid=...)", "line 6: errstate(invalid=...)"]
+    assert errstate_uses(source, "_guarded") == [
+        "line 6: errstate", "line 10: errstate", "line 10: errstate", "line 12: errstate"
+    ]
+    assert errstate_uses(source) == ["line 4: errstate"] + errstate_uses(source, "_guarded")
 
 
-@pytest.mark.parametrize("path", [p for p in SOURCES if p.name not in ("model.py", "fd.py")], ids=lambda p: p.name)
-def test_no_errstate_with_invalid_outside_the_guard(path):
-    assert errstate_invalid_calls(path.read_text(encoding="utf-8")) == []
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_errstate_outside_the_guard(path):
+    assert errstate_uses(path.read_text(encoding="utf-8"), "_guarded" if path.name == "activations.py" else None) == []
+
+
+def test_the_guard_holds_the_one_errstate():
+    (path,) = (p for p in SOURCES if p.name == "activations.py")
+    assert len(errstate_uses(path.read_text(encoding="utf-8"))) == 1
 
 
 # the output-end fold has one owner, engine._Prefixes, which multiplies full on its first read
