@@ -4,10 +4,16 @@ Supported kinds: identity, logistic, tanh, softplus, relu, leaky_relu
 (elementwise) and softmax (multivariate). One table maps every kind to
 its value function and to its exact Jacobian slope: the diagonal of an
 elementwise kind's Jacobian, computed from the weighted input z and the
-stored value a (tanh' = 1-a^2, logistic' = a(1-a)), or softmax's dense
-matrix. That slope is what the forward Jacobian pass requires of each
-layer. The table also gives every kind one gain that bounds its value and
-its slope at any finite z, from which a model bounds its whole pass.
+stored value a in forms that do not cancel in saturation (tanh' =
+1/cosh(z)^2, logistic' = a logistic(-z), softplus' = logistic(z), with
+logistic(z) = exp(-log(1 + e^-z))), or softmax's dense matrix. That
+slope is what the forward Jacobian pass requires of each layer. The
+table also gives every kind one gain that bounds its value and its slope
+at any finite z, from which a model bounds its whole pass.
+
+Every numpy call of the package that may overflow, because its caller
+tests the result, runs through :func:`_guarded`, the package's one
+``np.errstate``.
 
 relu and leaky_relu are not differentiable at exactly 0; the behaviour
 there is controlled by ``relu_zero_policy``:
@@ -189,8 +195,15 @@ def _as_finite_vector(x, what: str) -> np.ndarray:
 
 
 def _logistic(z: np.ndarray) -> np.ndarray:
-    # tanh form is overflow-free for all finite z
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
+    # 1 / (1 + e^-z) as exp(-log(1 + e^-z)): logaddexp neither overflows nor cancels at any finite z, so the
+    # value keeps its relative accuracy far below 0, where 1 + tanh(z/2) cancels
+    return np.exp(-np.logaddexp(0.0, -z))
+
+
+def _sech_squared(z: np.ndarray) -> np.ndarray:
+    # tanh' as 1 / cosh(z)^2, which does not cancel where 1 - tanh(z)^2 does; cosh overflows past |z| ~ 710,
+    # where 1 / inf gives the slope's 0, exact up to underflow
+    return np.square(1.0 / _guarded(False, np.cosh, z))
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -246,8 +259,8 @@ def _leaky_relu(spec: ActivationSpec, z: np.ndarray) -> np.ndarray:
 # of the slope is at most c (1/4 for logistic, 2 s_i (1 - s_i) <= 1/2 for softmax).
 _TABLE = {
     "identity": (lambda spec, z: z.copy(), lambda spec, z, a: (np.ones(z.shape), []), lambda spec: 1.0),
-    "logistic": (lambda spec, z: _logistic(z), lambda spec, z, a: (a * (1.0 - a), []), lambda spec: 1.0),
-    "tanh": (lambda spec, z: np.tanh(z), lambda spec, z, a: (1.0 - a * a, []), lambda spec: 1.0),
+    "logistic": (lambda spec, z: _logistic(z), lambda spec, z, a: (a * _logistic(-z), []), lambda spec: 1.0),
+    "tanh": (lambda spec, z: np.tanh(z), lambda spec, z, a: (_sech_squared(z), []), lambda spec: 1.0),
     # z + log1p(exp(-z)) for positive z, log1p(exp(z)) otherwise; log(1 + e^t) <= 2 max(1, t) for t >= 0
     "softplus": (lambda spec, z: np.logaddexp(0.0, z), lambda spec, z, a: (_logistic(z), []), lambda spec: 2.0),
     "relu": (lambda spec, z: np.maximum(z, 0.0), _kinked_slope, lambda spec: 1.0),

@@ -226,7 +226,7 @@ class TestHighPrecisionReference:
         value_error, slope_error = _worst_relative_errors(kind, np.linspace(-5.0, 5.0, 2001))
         assert value_error <= _REFERENCE_TOLERANCE and slope_error <= _REFERENCE_TOLERANCE
 
-    # ROADMAP item 1 (accurate values and slopes in saturation) turns these into passes
+    # ROADMAP item 1: 1 - a*a and 0.5 (1 + tanh(z/2)) cancelled here, a relative error of 4e-2 and 1.7e-4
     @pytest.mark.parametrize(
         "kind,z,which",
         [
@@ -235,7 +235,6 @@ class TestHighPrecisionReference:
             pytest.param("logistic", -30.0, 1, id="logistic-slope-at-minus-30"),
         ],
     )
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: 1 - a*a and 0.5 (1 + tanh(z/2)) cancel in saturation")
     def test_within_1e_11_relative_in_saturation(self, kind, z, which):
         assert _worst_relative_errors(kind, [z])[which] <= _REFERENCE_TOLERANCE
 
