@@ -196,13 +196,13 @@ def _as_finite_vector(x, what: str) -> np.ndarray:
 
 def _logistic(z: np.ndarray) -> np.ndarray:
     # 1 / (1 + e^-z) as exp(-log(1 + e^-z)): logaddexp neither overflows nor cancels at any finite z, so the
-    # value keeps its relative accuracy far below 0, where 1 + tanh(z/2) cancels
+    # value keeps its relative accuracy far below 0 too
     return np.exp(-np.logaddexp(0.0, -z))
 
 
 def _sech_squared(z: np.ndarray) -> np.ndarray:
-    # tanh' as 1 / cosh(z)^2, which does not cancel where 1 - tanh(z)^2 does; cosh overflows past |z| ~ 710,
-    # where 1 / inf gives the slope's 0, exact up to underflow
+    # tanh' as 1 / cosh(z)^2, which does not cancel where 1 - tanh(z)^2 does; past |z| ~ 710 cosh overflows,
+    # and 1 / inf gives 0, which the true slope, below 2^-2000 there, rounds to anyway
     return np.square(1.0 / _guarded(False, np.cosh, z))
 
 

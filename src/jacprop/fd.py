@@ -106,7 +106,7 @@ def _probe_outputs(model: LayeredModel, vec: np.ndarray, rows, values, labels, c
 
 
 def _estimate(model: LayeredModel, vec: np.ndarray, cfg: FDConfig, counter: EvalCounter | None) -> np.ndarray:
-    """The estimate at a checked vector x, which may hold non-finite entries.
+    """The estimate at a checked vector x, unchecked: it may hold non-finite entries.
 
     An x_j + h, a probe and a difference of two probe outputs may each
     leave float64: every probe reports its own overflow, and

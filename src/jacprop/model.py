@@ -293,8 +293,8 @@ def _layer_values(model: LayeredModel, vec: np.ndarray, counter: EvalCounter | N
     as a whole, by ``activation_apply``; errors name network layers
     (2..L), overflow included, so the consumer reads it through
     ``activations._guarded``, which silences numpy's overflow warnings
-    only where something can overflow. Assumes the model already validated and
-    ``vec`` checked.
+    only where something can overflow. Assumes the model already
+    validated and ``vec`` checked.
     """
     columns = 1 if vec.ndim == 1 else vec.shape[1]
     if counter is not None:

@@ -127,7 +127,6 @@ class TestBatchedProbes:
         assert [v.hex() for v in forward(model, x)[-1].tolist()] == [
             "0x1.44241c9ad7c2bp-2", "0x1.9f2b5ef989729p-2", "0x1.1cb0846b9ecabp-2",
         ]
-        # full re-pinned when the tanh slope became 1 / cosh(z)^2, which moved its last bits
         assert [v.hex() for v in jacobian_forward(model, x).full.ravel().tolist()] == [
             "-0x1.075154eaf4b9bp-4", "-0x1.e232b0b349006p-5", "0x1.370f1cabe0b6cp-4", "0x1.09e09ee89aad1p-3",
             "0x1.3c0f878b633b6p-2", "0x1.414011021910dp-3", "-0x1.8a10f437383f9p-4", "-0x1.b85eafceeaeaap-3",

@@ -71,8 +71,10 @@ def _rounding_bound(model, layers) -> tuple[float, list[list[Decimal]]]:
 
 
 def _worst_ratio(jacobian: np.ndarray, reference, gamma: float, product, floor: Decimal = Decimal(0)) -> float:
-    """max |J - J*| / (gamma' |F_L| ... |F_2|) over the entries with |J*| >= floor; inf where J differs from J*
-    and the bound is 0."""
+    """max |J - J*| / (gamma' |F_L| ... |F_2|) over the entries with |J*| >= floor.
+
+    inf where J differs from J* and the bound is 0.
+    """
     worst = 0.0
     with localcontext() as ctx:
         ctx.prec = 50
