@@ -201,9 +201,9 @@ def _logistic(z: np.ndarray) -> np.ndarray:
 
 
 def _sech_squared(z: np.ndarray) -> np.ndarray:
-    # tanh' as 1 / cosh(z)^2, which does not cancel where 1 - tanh(z)^2 does; past |z| ~ 710 cosh overflows,
-    # and 1 / inf gives 0, which the true slope, below 2^-2000 there, rounds to anyway
-    return np.square(1.0 / _guarded(False, np.cosh, z))
+    # tanh' as 1 / cosh(z)^2, which does not cancel where 1 - tanh(z)^2 does; cosh overflows past |z| ~ 710.5,
+    # so |z| is clamped to 710, where the square is already 0, as the true slope, below 2^-2000, rounds to
+    return np.square(1.0 / np.cosh(np.minimum(np.abs(z), 710.0)))
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from .errors import (
     NonFiniteError,
     SingularityError,
 )
-from .fd import FDConfig, _checked_tolerance, compare_jacobians, finite_difference_jacobian
+from .fd import SCHEMES, FDConfig, _checked_tolerance, compare_jacobians, finite_difference_jacobian
 from .model import LayeredModel, _checked_layer, forward
 from .model_io import (
     emit_matrix,
@@ -89,8 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
         "check",
         _cmd_check,
         "verify the Jacobian against finite differences",
-        ("--fd-step", dict(type=float, default=1e-5, metavar="REAL")),
-        ("--fd-scheme", dict(choices=("forward", "central"), default="central")),
+        # FD's own rules: a frozenset's order moves with the hash seed, so the choices are sorted
+        ("--fd-step", dict(type=float, default=FDConfig.step, metavar="REAL")),
+        ("--fd-scheme", dict(choices=sorted(SCHEMES), default=FDConfig.scheme)),
         ("--tolerance", dict(type=float, default=1e-5, metavar="REAL")),
     )
     add_command(

@@ -90,9 +90,10 @@ def build_report(jacobian, same_unit: bool = False) -> SensitivityReport:
     :class:`NonFiniteError` for one with a NaN or an infinity, or with a
     score beyond float64's range, naming the axis and the index (features
     first). Each axis takes the same steps: the plain norms, or scaled
-    ones where a square could leave float64, then its ranking. A score
-    below 2^-510 is then a scaled norm, so it does not underflow where the
-    squares of its vector's entries do, and the axis is ranked again.
+    ones where a square could leave float64, then its ranking. On the
+    plain path a score below 2^-510 is then a scaled norm, so it does not
+    underflow where the squares of its vector's entries do, and the axis
+    is ranked again.
     ``same_unit`` must be a bool (ValueError otherwise), and complex
     entries raise ValueError.
     """
@@ -110,8 +111,8 @@ def build_report(jacobian, same_unit: bool = False) -> SensitivityReport:
     for axis, name in enumerate(_AXES):
         scores = _scaled_norms(matrix, axis, name) if squares is None else np.sqrt(np.add.reduce(squares, axis=axis))
         ranking = _rank(scores)
-        # a ranking ends at its smallest score: one lookup tells whether any score is that small
-        if scores[ranking[-1] - 1] < _TINY:
+        # a ranking ends at its smallest score: one lookup tells whether any plain score is that small
+        if squares is not None and scores[ranking[-1] - 1] < _TINY:
             low = scores < _TINY
             # the score vectors run across the other axis; all-zero ones score +0 scaled, as they do plain
             if np.count_nonzero(matrix.compress(low, axis=1 - axis)):

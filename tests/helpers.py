@@ -191,8 +191,17 @@ def decimal_activation(kind: str, z) -> tuple[Decimal, Decimal]:
             return 1 / (1 + e), e / (1 + e) ** 2
         if kind == "softplus":
             e = t.exp()
-            return (1 + e).ln(), e / (1 + e)
+            # 1 + e keeps e's 50 digits only with one more digit of working precision for each decade of e below 1
+            with localcontext() as wide:
+                wide.prec += max(0, -e.adjusted())
+                value = (1 + e).ln()
+            return +value, e / (1 + e)
     raise AssertionError(kind)
+
+
+def decimal_matmul(left, right):
+    """left @ right for lists of ``Decimal`` rows, summed over right's rows: extra columns of left meet none."""
+    return [[sum(row[k] * right[k][j] for k in range(len(right))) for j in range(len(right[0]))] for row in left]
 
 
 def _decimal_elementwise(spec, z: Decimal) -> tuple[Decimal, Decimal]:
@@ -231,10 +240,7 @@ def decimal_jacobian(model, x):
             weights = [[Decimal(float(w)) for w in row] for row in layer.weights]
             z = [sum(w * v for w, v in zip(row, inputs)) for row in weights]
             # P = W J over the linear part: the bias column meets no row of J
-            product = [
-                [sum(row[k] * jacobian[k][j] for k in range(len(jacobian))) for j in range(len(jacobian[0]))]
-                for row in weights
-            ]
+            product = decimal_matmul(weights, jacobian)
             if layer.activation.kind == "softmax":
                 peak = max(z)
                 exps = [(v - peak).exp() for v in z]

@@ -1,6 +1,6 @@
 import math
 from dataclasses import dataclass, field
-from decimal import Decimal
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -23,7 +23,7 @@ from jacprop import (
     softmax_jacobian,
 )
 from jacprop.activations import _ByValue, _freeze, _Rebuilt
-from helpers import clones, decimal_activation, fd_activation_jacobian, make_spec
+from helpers import clones, decimal_activation, fd_activation_jacobian, make_spec, random_smooth_model, sweep_model
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,6 +238,14 @@ class TestHighPrecisionReference:
     def test_within_1e_11_relative_in_saturation(self, kind, z, which):
         assert _worst_relative_errors(kind, [z])[which] <= _REFERENCE_TOLERANCE
 
+    @pytest.mark.parametrize("z", [-113.5, -300.0, -700.0])
+    def test_the_reference_softplus_keeps_50_digits_far_below_zero(self, z):
+        # 1 + e^z rounded to 50 digits keeps no digit of e^z below z ~ -115
+        with localcontext() as ctx:
+            ctx.prec = 400
+            exact = (1 + Decimal(z).exp()).ln()
+        assert abs(decimal_activation("softplus", z)[0] - exact) <= Decimal("1e-49") * exact
+
 
 class TestSoftmaxProperties:
     @pytest.mark.parametrize(
@@ -386,6 +394,15 @@ class TestValueRule:
         value = softmax(np.array(z))
         assert len(entered) == count
         assert np.isfinite(value).all() and np.all(value >= 0.0)
+
+    def test_passes_below_the_safe_input_enter_no_errstate(self, entered):
+        # nothing can overflow there, so no slope, tanh's included, pays for an errstate
+        for make in (sweep_model, random_smooth_model):
+            for seed in range(300):
+                model, x = make(seed)
+                assert np.max(np.abs(x)) < model._safe_input
+                jacobian_forward(model, x).full
+        assert entered == []
 
     def test_a_leaky_relu_above_one_still_refuses_an_overflowing_value(self):
         spec = ActivationSpec("leaky_relu", alpha=2.0)

@@ -43,27 +43,32 @@ def _identity_model(matrices, input_dim):
     return LayeredModel(layers=layers, input_dim=input_dim)
 
 
-def _input_to_output(model, x):
-    """J[1..L] multiplied input-to-output from J[1] = I_m, as the one-pass engine always has.
+def _pass_with(model, trace, matmul):
+    """The weighted inputs, the prefixes J[1..L] and the output-first product, each product through matmul.
 
-    The first step applies the activation Jacobian (a row scaling for
-    elementwise kinds) to the factor first, J[2] = (J_sigma W) J[1]; every
-    later step applies the weights first, J[l] = J_sigma (W J[l-1]).
+    The file's one float reference for the pass, built from the trace's own a and z. J[1] is I_m, J[2] is F[2] + 0,
+    which is what the product F[2] I_m gives (a -0 becomes +0); every later prefix is J_sigma (W J[l-1]).
+    The output-first product starts from F[L] and applies each earlier factor to it as (C J_sigma) W.
     """
-    jac = np.eye(model.input_dim)
-    prefixes = [jac]
-    for layer, z in zip(model.layers, jacobian_forward(model, x).weighted_inputs):
-        linear = layer.linear_part()
-        sigma = activation_jacobian(layer.activation, z).matrix
-        softmax = layer.activation.kind == "softmax"
-        rows = np.diag(sigma)[:, np.newaxis]
-
-        def apply(matrix):
-            return sigma @ matrix if softmax else rows * matrix
-
-        jac = apply(linear) @ jac if len(prefixes) == 1 else apply(linear @ jac)
+    zs, prefixes, factors = [], [np.eye(model.input_dim)], []
+    for layer, a, z in zip(model.layers, trace.activations, trace.weighted_inputs):
+        src = np.concatenate((a, [1.0])) if layer.bias_folded else a
+        zs.append(matmul(layer.weights, src))
+        slope = activation_jacobian(layer.activation, z).matrix
+        dense = layer.activation.kind == "softmax"
+        factors.append((slope if dense else np.diag(slope), dense, layer.linear_part()))
+    for slope, dense, linear in factors:
+        if len(prefixes) == 1:
+            jac = (matmul(slope, linear) if dense else slope[:, np.newaxis] * linear) + 0.0
+        else:
+            product = matmul(linear, prefixes[-1])
+            jac = matmul(slope, product) if dense else slope[:, np.newaxis] * product
         prefixes.append(jac)
-    return prefixes
+    slope, dense, linear = factors[-1]
+    product = matmul(slope, linear) if dense else slope[:, np.newaxis] * linear
+    for slope, dense, linear in reversed(factors[:-1]):
+        product = matmul(matmul(product, slope) if dense else product * slope, linear)
+    return zs, prefixes, product
 
 
 def _overflowing_prefix_model():
@@ -287,7 +292,9 @@ class TestErrors:
             [np.full((1, 2), 1e-200), np.full((1, 1), 1e200), np.full((1, 1), 1e200)], input_dim=2
         )
         trace = jacobian_forward(model, [1.0, 0.0])
-        expected = _input_to_output(model, [1.0, 0.0])
+        with np.errstate(over="ignore"):
+            _, expected, product = _pass_with(model, trace, np.matmul)
+        assert not np.isfinite(product).any()
         assert np.all(np.isfinite(trace.full))
         assert np.array_equal(trace.full, expected[-1])
         assert np.array_equal(trace.per_layer[2], expected[2])
@@ -337,66 +344,29 @@ class TestOracleSweep:
             assert np.max(np.abs(trace.full - product)) <= 1e-12
 
 
-def _output_to_input(model, x):
-    """J = F[L] ... F[2] from the output end: F[L] multiplied out, then each factor applied from the right."""
-    trace = jacobian_forward(model, x)
-    factors = []
-    for layer, z in zip(model.layers, trace.weighted_inputs):
-        sigma = activation_jacobian(layer.activation, z).matrix
-        factors.append((sigma if layer.activation.kind == "softmax" else np.diag(sigma), layer.linear_part()))
-    slope, linear = factors[-1]
-    product = slope @ linear if slope.ndim == 2 else slope[:, np.newaxis] * linear
-    for slope, linear in reversed(factors[:-1]):
-        product = (product @ slope if slope.ndim == 2 else product * slope) @ linear
-    return product
-
-
 class TestPlan:
     def test_every_shape_folds_from_the_output_end(self):
         wide = seeded_model(4, (784, 512, 512, 10), ("relu", "relu", "softmax"))
-        x = np.linspace(-1.0, 1.0, 784)
-        assert jacobian_forward(wide, x).full.tobytes() == _output_to_input(wide, x).tobytes()
         narrow = seeded_model(4, (1, 64, 64, 64), ("tanh", "logistic", "softplus"))
-        assert jacobian_forward(narrow, [0.5]).full.tobytes() == _output_to_input(narrow, [0.5]).tobytes()
+        for model, x in ((wide, np.linspace(-1.0, 1.0, 784)), (narrow, [0.5])):
+            trace = jacobian_forward(model, x)
+            assert trace.full.tobytes() == _pass_with(model, trace, np.matmul)[2].tobytes()
 
     def test_ties_break_the_same_way_every_time(self):
         model = seeded_model(3, (4, 4, 4, 4, 4), ("tanh", "softplus", "logistic", "tanh"))
         x = np.array([0.3, -0.1, 0.7, 0.2])
-        first, again = jacobian_forward(model, x).full, jacobian_forward(model, x).full
+        trace = jacobian_forward(model, x)
+        first, again = trace.full, jacobian_forward(model, x).full
         assert first.tobytes() == again.tobytes()
-        assert first.tobytes() == _output_to_input(model, x).tobytes()
-
-    def test_product_is_the_output_to_input_fold(self):
-        checked = 0
-        for seed in range(400):
-            model, x = sweep_model(seed)
-            if model.layer_count == 2:  # a chain of one factor: the product is J[2]
-                continue
-            checked += 1
-            trace = jacobian_forward(model, x)
-            # bit for bit, the sign of zero included
-            assert trace.full.tobytes() == _output_to_input(model, x).tobytes(), seed
-            assert trace.per_layer[-1] is trace.full, seed
-        assert checked >= 100
+        assert first.tobytes() == _pass_with(model, trace, np.matmul)[2].tobytes()
 
     def test_product_agrees_with_the_input_to_output_order(self):
         # the models of acceptance criterion 1
         for seed in range(200):
             model, x = random_smooth_model(seed)
-            full = jacobian_forward(model, x).full
-            expected = _input_to_output(model, x)[-1]
-            assert np.max(np.abs(full - expected)) <= 1e-13 * (1.0 + np.max(np.abs(expected))), seed
-
-    def test_prefixes_are_the_input_to_output_products(self):
-        for seed in range(400):
-            model, x = sweep_model(seed)
             trace = jacobian_forward(model, x)
-            expected = _input_to_output(model, x)
-            for index in range(model.layer_count - 1):
-                # bit for bit, the sign of zero included
-                assert trace.per_layer[index].tobytes() == expected[index].tobytes(), (seed, index + 1)
-            if model.layer_count == 2:  # a chain of one factor: the product is J[2]
-                assert trace.full.tobytes() == expected[1].tobytes(), seed
+            full, expected = trace.full, _pass_with(model, trace, np.matmul)[1][-1]
+            assert np.max(np.abs(full - expected)) <= 1e-13 * (1.0 + np.max(np.abs(expected))), seed
 
     def test_wide_first_layers_keep_the_bits_of_products_plus_zero(self):
         # J[2] = F[2] I_m is (d * W) + 0 (S @ W + 0 for softmax) bit for bit, on rows wide enough for the
@@ -427,7 +397,8 @@ class TestPlan:
             for model in (_identity_model([w], w.shape[1]), _identity_model([w, np.ones((1, w.shape[0]))], w.shape[1])):
                 x = np.ones(w.shape[1])
                 prefix = jacobian_forward(model, x).per_layer[1]
-                assert prefix.tobytes() == _input_to_output(model, x)[1].tobytes()
+                # F[2] = W for an identity layer
+                assert prefix.tobytes() == (w @ np.eye(w.shape[1])).tobytes()
                 assert not np.signbit(prefix).any()
 
 
@@ -485,41 +456,21 @@ def _folded_signed_zero_models():
     yield LayeredModel(layers=layers, input_dim=1), np.array([-1.0])
 
 
-def _pass_with(model, trace, matmul):
-    """The weighted inputs, the prefixes J[2..L] and the output-first product, each product through matmul."""
-    zs, prefixes, factors = [], [], []
-    for layer, a, z in zip(model.layers, trace.activations, trace.weighted_inputs):
-        src = np.concatenate((a, [1.0])) if layer.bias_folded else a
-        zs.append(matmul(layer.weights, src))
-        slope = activation_jacobian(layer.activation, z).matrix
-        dense = layer.activation.kind == "softmax"
-        factors.append((slope if dense else np.diag(slope), dense, layer.linear_part()))
-    for slope, dense, linear in factors:
-        if not prefixes:
-            jac = (matmul(slope, linear) if dense else slope[:, np.newaxis] * linear) + 0.0
-        else:
-            product = matmul(linear, prefixes[-1])
-            jac = matmul(slope, product) if dense else slope[:, np.newaxis] * product
-        prefixes.append(jac)
-    slope, dense, linear = factors[-1]
-    product = matmul(slope, linear) if dense else slope[:, np.newaxis] * linear
-    for slope, dense, linear in reversed(factors[:-1]):
-        product = matmul(matmul(product, slope) if dense else product * slope, linear)
-    return zs, prefixes, product
-
-
 class TestProductsKeepTheBitsOfMatmul:
     """Every product of the pass gives the bits of @: the value pass multiplies the weighted inputs
     through ndarray.dot only where it gives them, and the prefixes and the fold multiply with @."""
 
     def test_pass_and_folds_are_the_matmul_formulas_bit_for_bit(self):
-        for model, x in _folded_signed_zero_models():
+        # sweep_model's models as drawn and with signed zeros; a chain of one factor has no output-first product
+        cases = [sweep_model(seed) for seed in range(400)] + list(_folded_signed_zero_models())
+        assert sum(model.layer_count > 2 for model, _ in cases) >= 100
+        for model, x in cases:
             trace = jacobian_forward(model, x)
             zs, prefixes, product = _pass_with(model, trace, np.matmul)
             assert [z.tobytes() for z in trace.weighted_inputs] == [z.tobytes() for z in zs]
-            assert [jac.tobytes() for jac in trace.per_layer[1:]][:-1] == [jac.tobytes() for jac in prefixes][:-1]
-            expected = product if model.layer_count > 2 else prefixes[-1]
-            assert trace.full.tobytes() == expected.tobytes()
+            expected = [*prefixes[:-1], product if model.layer_count > 2 else prefixes[-1]]
+            assert [jac.tobytes() for jac in trace.per_layer] == [jac.tobytes() for jac in expected]
+            assert trace.per_layer[-1] is trace.full
 
     def test_the_bit_check_sees_dot_everywhere(self):
         # ndarray.dot on every product, the strided views and inner dimensions of 1 included, parts from @
@@ -595,8 +546,9 @@ class TestPrefixes:
         trace = jacobian_forward(model, x)
         prefixes = [trace.per_layer[index] for index in range(3)]
         assert calls == [] and trace.per_layer._slots[-1] is None
-        assert [jac.tobytes() for jac in prefixes] == [jac.tobytes() for jac in _input_to_output(model, x)[:3]]
-        assert trace.full.tobytes() == _output_to_input(model, x).tobytes()
+        _, expected, product = _pass_with(model, trace, np.matmul)
+        assert [jac.tobytes() for jac in prefixes] == [jac.tobytes() for jac in expected[:3]]
+        assert trace.full.tobytes() == product.tobytes()
         assert calls == [(3, 5), (3, 5)]
         # at or above the safe input the call reads full itself
         calls.clear()
@@ -647,7 +599,7 @@ class TestPrefixes:
     def test_concurrent_first_reads_agree(self):
         model = seeded_model(5, (6, 8, 8, 8, 8, 3), ("tanh", "relu", "softplus", "logistic", "softmax"))
         x = np.linspace(-1.0, 1.0, 6)
-        expected, full = _input_to_output(model, x), _output_to_input(model, x)
+        _, expected, full = _pass_with(model, jacobian_forward(model, x), np.matmul)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from jacprop import DimensionMismatchError, NonFiniteError, build_report, emit_matrix, jacobian_forward, top_k
+from jacprop import sensitivity
 from helpers import awkward_matrices, clones, seeded_model, spec_seed7_model
 
 
@@ -138,6 +139,19 @@ class TestScoresAreNumpysNorm:
         assert report.feature_ranking == (2, 1)
         assert report.output_scores == pytest.approx([math.sqrt(10.0) * 1e200, 2.0], rel=1e-15)
         assert report.output_ranking == (1, 2)
+
+    def test_scaled_scores_are_taken_once_per_axis(self, monkeypatch):
+        # where a square could overflow every score is scaled already: a score below 2^-510 needs no second pass
+        scaled_norms, axes = sensitivity._scaled_norms, []
+
+        def counting(matrix, axis, name):
+            axes.append(axis)
+            return scaled_norms(matrix, axis, name)
+
+        monkeypatch.setattr(sensitivity, "_scaled_norms", counting)
+        report = build_report([[1e200, 1e-300], [1e200, 0.0]])
+        assert axes == [0, 1]
+        assert report.feature_scores[1] == 1e-300 and report.feature_ranking == (1, 2)
 
     def test_power_of_two_scaling_keeps_the_bits(self):
         # M moved by a power of two up to a largest entry near 2^1015, whose square overflows: its

@@ -297,6 +297,15 @@ def test_cold_and_warm_subprocesses_agree_in_development_mode(tmp_path):
         assert [(r.returncode, r.stdout, r.stderr) for r in runs] == [(0, runs[0].stdout, "")] * 2, argv
 
 
+def test_importing_the_package_loads_no_hashlib():
+    # _read_model imports hashlib where the CLI reads a document: OpenSSL's libcrypto, loaded with it, slows
+    # library calls in the same process
+    code = "import sys, numpy; before = set(sys.modules); import jacprop.cli; print(sorted(set(sys.modules) - before))"
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert "jacprop.cli" in loaded
+    assert "'hashlib'" not in loaded and "'_hashlib'" not in loaded
+
+
 # the functions that hold load_model's rules and the sidecar layout; a change to any of them must come with a
 # new _SIDECAR_FORMAT, or old sidecars would rebuild models the new rules parse differently
 SIDECAR_RULES = (
