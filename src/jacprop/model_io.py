@@ -297,9 +297,11 @@ def emit_matrix(matrix, header: list[str] | None = None) -> str:
 
     Raises :class:`DimensionMismatchError` naming the shape of an array
     with more than 2 dimensions or of a matrix with no entries, and
-    ValueError for header labels that are not one per column or that
-    hold a comma, a double quote, a newline or a carriage return, any of
-    which a CSV reader takes as more fields or rows, or as quoting.
+    ValueError for a header given as one string or bytes object, whose
+    items are characters or code points, or with labels that are not one
+    per column or that hold a comma, a double quote, a newline or a
+    carriage return, any of which a CSV reader takes as more fields or
+    rows, or as quoting.
     """
     mat = _as_real(matrix, "matrix")
     if mat.ndim > 2:
@@ -312,6 +314,8 @@ def emit_matrix(matrix, header: list[str] | None = None) -> str:
         raise NonFiniteError("matrix contains non-finite entries")
     lines = []
     if header is not None:
+        if isinstance(header, (str, bytes, bytearray)):
+            raise ValueError(f"header must be a sequence of labels, not {type(header).__name__}")
         labels = [str(label) for label in header]
         if any(char in label for label in labels for char in ',"\n\r'):
             raise ValueError("header labels must not contain commas, double quotes, newlines or carriage returns")

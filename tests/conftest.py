@@ -7,6 +7,6 @@ from hypothesis import settings
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
 
-# the CLI tests run `python -m jacprop` in subprocesses; let them import src/ too
+# criterion 10, the README's commands and two sidecar tests start Python processes; let them import src/ too
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)

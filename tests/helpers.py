@@ -6,19 +6,52 @@ pass, ``fd_activation_jacobian`` differentiates activation values by
 central differences, ``decimal_activation`` computes values and slopes
 to 50 digits with stdlib ``decimal``, and ``decimal_jacobian`` builds a
 whole pass and the Jacobian J* from them at the same precision.
+``run_cli`` runs the command-line front end in this process.
 """
 
 import copy
 import math
+import os
 import pickle
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal, localcontext
+from io import StringIO
+from typing import NamedTuple
 
 import numpy as np
 
-from jacprop import ActivationSpec, LayerDef, LayeredModel, activation_apply, fold_bias
+from jacprop import ActivationSpec, LayerDef, LayeredModel, activation_apply, cli, fold_bias
 
 SMOOTH_KINDS = ("identity", "logistic", "tanh", "softplus")
 ALL_ELEMENTWISE = ("identity", "logistic", "tanh", "softplus", "relu", "leaky_relu")
+
+
+# the CLI tests' model documents: a 2->1 identity layer, a weight row one entry too long, and a 2x2 relu identity
+MINIMAL = '{"schema_version": "1", "input_dim": 2, "layers": [{"weights": [[1, 2]], "activation": {"kind": "identity"}}]}'
+INVALID = '{"schema_version": "1", "input_dim": 2, "layers": [{"weights": [[1, 2, 3]], "activation": {"kind": "identity"}}]}'
+RELU_EYE = '{"schema_version": "1", "input_dim": 2, "layers": [{"weights": [[1, 0], [0, 1]], "activation": {"kind": "relu"}}]}'
+
+
+class CliRun(NamedTuple):
+    returncode: int
+    stdout: str
+    stderr: str
+
+
+def run_cli(*argv, cwd=None) -> CliRun:
+    """``jacprop.cli.run`` on the arguments, each through ``str``, in this process and in ``cwd`` if given.
+
+    Returns the exit code and what the run wrote to stdout and to stderr.
+    """
+    out, err, here = StringIO(), StringIO(), os.getcwd()
+    if cwd is not None:
+        os.chdir(cwd)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.run([str(arg) for arg in argv])
+    finally:
+        os.chdir(here)
+    return CliRun(code, out.getvalue(), err.getvalue())
 
 
 def make_spec(kind: str) -> ActivationSpec:

@@ -30,6 +30,9 @@ from jacprop import (
     suffix_model,
 )
 from helpers import (
+    INVALID,
+    MINIMAL,
+    RELU_EYE,
     fd_activation_jacobian,
     make_spec,
     random_smooth_model,
@@ -246,18 +249,9 @@ def test_criterion_10_cli_contract(tmp_path):
         path.write_text(text)
         return str(path)
 
-    minimal = write(
-        "minimal.json",
-        '{"schema_version": "1", "input_dim": 2, "layers": [{"weights": [[1, 2]], "activation": {"kind": "identity"}}]}',
-    )
-    invalid = write(
-        "invalid.json",
-        '{"schema_version": "1", "input_dim": 2, "layers": [{"weights": [[1, 2, 3]], "activation": {"kind": "identity"}}]}',
-    )
-    relu = write(
-        "relu.json",
-        '{"schema_version": "1", "input_dim": 2, "layers": [{"weights": [[1, 0], [0, 1]], "activation": {"kind": "relu"}}]}',
-    )
+    minimal = write("minimal.json", MINIMAL)
+    invalid = write("invalid.json", INVALID)
+    relu = write("relu.json", RELU_EYE)
     smooth = write("smooth.json", save_model(seeded_model(7, (4, 5, 5, 3), ("tanh", "tanh", "softmax"))))
     x4 = "0.1,-0.2,0.3,-0.4"
 

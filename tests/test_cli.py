@@ -1,16 +1,13 @@
+"""The command-line front end, run in process through ``helpers.run_cli``: exit codes, stdout and stderr."""
+
 import json
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from jacprop import parse_matrix, save_model
-from helpers import overflowing_activation_model, seeded_model
+from helpers import INVALID, MINIMAL, RELU_EYE, overflowing_activation_model, run_cli, seeded_model
 
-MINIMAL = '{"schema_version": "1", "input_dim": 2, "layers": [{"weights": [[1, 2]], "activation": {"kind": "identity"}}]}'
-INVALID = '{"schema_version": "1", "input_dim": 2, "layers": [{"weights": [[1, 2, 3]], "activation": {"kind": "identity"}}]}'
-RELU_EYE = '{"schema_version": "1", "input_dim": 2, "layers": [{"weights": [[1, 0], [0, 1]], "activation": {"kind": "relu"}}]}'
 WIDE3 = '{"schema_version": "1", "input_dim": 3, "layers": [{"weights": [[1, 1, 1]], "activation": {"kind": "tanh"}}]}'
 OVERFLOW = '{"schema_version": "1", "input_dim": 1, "layers": [%s, %s]}' % (
     ('{"weights": [[1e308]], "activation": {"kind": "identity"}}',) * 2
@@ -23,15 +20,6 @@ IDENTITY = '{"schema_version": "1", "input_dim": 1, "layers": [{"weights": [[1]]
 PREFIX_OVERFLOW = '{"schema_version": "1", "input_dim": 2, "layers": [%s, %s, %s]}' % tuple(
     '{"weights": %s, "activation": {"kind": "identity"}}' % w for w in ("[[1e200, 1e200]]", "[[1e200]]", "[[1e-200]]")
 )
-
-
-def run_cli(*args, cwd=None):
-    return subprocess.run(
-        [sys.executable, "-m", "jacprop", *args],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-    )
 
 
 @pytest.fixture

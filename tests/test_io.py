@@ -25,20 +25,11 @@ from jacprop import (
     report_to_json,
     save_model,
 )
-from helpers import awkward_matrices, seeded_model
-
-MINIMAL_DOC = json.dumps(
-    {
-        "schema_version": "1",
-        "input_dim": 2,
-        "layers": [{"weights": [[1, 2]], "activation": {"kind": "identity"}}],
-    }
-)
-
+from helpers import MINIMAL, awkward_matrices, seeded_model
 
 class TestLoadModel:
     def test_minimal_document(self):
-        model = load_model(MINIMAL_DOC)
+        model = load_model(MINIMAL)
         assert model.layer_count == 2
         assert model.input_dim == 2
         assert model.layers[0].weights.shape == (1, 2)
@@ -46,7 +37,7 @@ class TestLoadModel:
         assert model.layers[0].bias_folded is False
 
     def test_ragged_weights_name_layer_1(self):
-        doc = MINIMAL_DOC.replace("[[1, 2]]", "[[1, 2], [3]]")
+        doc = MINIMAL.replace("[[1, 2]]", "[[1, 2], [3]]")
         with pytest.raises(FormatError, match="layer 1"):
             load_model(doc)
 
@@ -99,13 +90,13 @@ class TestLoadModel:
         ],
     )
     def test_schema_violations(self, mutate, match):
-        doc = json.loads(MINIMAL_DOC)
+        doc = json.loads(MINIMAL)
         mutate(doc)
         with pytest.raises(FormatError, match=match):
             load_model(json.dumps(doc))
 
     def test_leaky_relu_requires_alpha(self):
-        doc = json.loads(MINIMAL_DOC)
+        doc = json.loads(MINIMAL)
         doc["layers"][0]["activation"] = {"kind": "leaky_relu"}
         with pytest.raises(FormatError, match="alpha"):
             load_model(json.dumps(doc))
@@ -125,13 +116,13 @@ class TestLoadModel:
             load_model(doc)
 
     def test_policy_round_trips(self):
-        doc = json.loads(MINIMAL_DOC)
+        doc = json.loads(MINIMAL)
         doc["layers"][0]["activation"] = {"kind": "relu", "relu_zero_policy": "reject"}
         model = load_model(json.dumps(doc))
         assert model.layers[0].activation.relu_zero_policy == "reject"
 
     def test_dimension_inconsistency_is_validation_error(self):
-        doc = json.loads(MINIMAL_DOC)
+        doc = json.loads(MINIMAL)
         doc["layers"].append({"weights": [[1, 2, 3]], "activation": {"kind": "tanh"}})
         with pytest.raises(ModelValidationError) as excinfo:
             load_model(json.dumps(doc))
@@ -166,12 +157,12 @@ class TestLoadModel:
     def test_repeated_keys_are_refused(self, old, new, key):
         # json.loads alone keeps the last value: input_dim 3, weights [[3, 4]], kind tanh
         with pytest.raises(FormatError, match=f"^repeated key '{key}' in a JSON object$"):
-            load_model(MINIMAL_DOC.replace(old, new))
+            load_model(MINIMAL.replace(old, new))
 
 
 class TestSaveModel:
     def test_minimal_round_trip_same_outputs(self):
-        model = load_model(MINIMAL_DOC)
+        model = load_model(MINIMAL)
         again = load_model(save_model(model))
         x = [0.123456789, -9.87654321]
         assert np.array_equal(forward(model, x)[-1], forward(again, x)[-1])
@@ -284,6 +275,10 @@ class TestMatrixDump:
                 emit_matrix(np.array([[1.0, 2.0]]), header=labels)
         with pytest.raises(ValueError, match="^1 header labels for 2 columns$"):
             emit_matrix(np.array([[1.0, 2.0]]), header=["x1"])
+        # one string is not its characters as labels, nor bytes their code points
+        for header in ("ab", b"ab", bytearray(b"ab")):
+            with pytest.raises(ValueError, match=f"^header must be a sequence of labels, not {type(header).__name__}$"):
+                emit_matrix(np.array([[1.0, 2.0]]), header=header)
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64), min_size=1, max_size=6))
     def test_values_round_trip_bit_exactly(self, values):

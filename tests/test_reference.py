@@ -121,10 +121,15 @@ def _ratio_to_the_bound(model, x) -> float:
         return max((float(diff / bound) if bound else math.inf for diff, bound in diffs if diff), default=0.0)
 
 
-def _saturated_model(seed):
-    """tanh/logistic/softplus 6->6->6->3, uniform[-1,1] weights times 12: |z| reaches the tens."""
+def _saturated_model(seed, softmax=False):
+    """tanh/logistic/softplus 6->6->6->3, uniform[-1,1] weights times 12: |z| reaches the tens.
+
+    With ``softmax``, the output layer is a softmax, which saturates when one class takes nearly all the mass.
+    """
     rng = np.random.default_rng(seed)
     kinds = [("tanh", "logistic", "softplus")[int(k)] for k in rng.integers(0, 3, size=3)]
+    if softmax:
+        kinds[-1] = "softmax"
     model = seeded_model(seed, (6, 6, 6, 3), kinds)
     layers = tuple(LayerDef(weights=12.0 * layer.weights, activation=layer.activation) for layer in model.layers)
     return LayeredModel(layers=layers, input_dim=6), rng.uniform(-1.0, 1.0, size=6)
@@ -143,6 +148,14 @@ def _cases():
 @pytest.mark.parametrize("make,seed", _cases())
 def test_the_jacobian_is_within_the_rounding_bound_of_the_reference(make, seed):
     assert _ratio_to_the_bound(*make(seed)) <= 1.0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="a saturated softmax's Jacobian is off by more than rounding")
+def test_the_saturated_family_with_a_softmax_output_is_within_the_rounding_bound():
+    # 60 of the 100 models exceed the bound, the worst by 8.9e12 times. One cause is softmax's diagonal s - s^2,
+    # which cancels where one class saturates, as tanh's 1 - a^2 once did; it is not the only one (ROADMAP item 16)
+    ratios = [_ratio_to_the_bound(*_saturated_model(seed, softmax=True)) for seed in range(100)]
+    assert max(ratios) <= 1.0, f"{sum(r > 1.0 for r in ratios)} of 100 models beyond the bound, worst {max(ratios):.3g}"
 
 
 def test_central_fd_meets_criterion_1_against_the_reference():

@@ -1,9 +1,9 @@
 """The CLI's model sidecar, ``<dir>/__jacprop_cache__/<name>.npz``, read while it holds the document's SHA-256.
 
-Runs go through ``jacprop.cli.run`` in process, with the JSON parses of
+Runs go through ``helpers.run_cli`` in process, with the JSON parses of
 ``model_io`` counted, so a test can tell a parse (a miss) from a rebuild
-(a hit). The
-last test runs the CLI in subprocesses under Python's development mode.
+(a hit). Two tests start processes: one runs the CLI under Python's
+development mode, and one imports the package in a fresh interpreter.
 """
 
 import errno
@@ -19,12 +19,9 @@ import threading
 import numpy as np
 import pytest
 
-from jacprop import ActivationSpec, LayerDef, LayeredModel, cli, load_model, model_io, save_model
-from helpers import overflowing_activation_model, seeded_model
+from jacprop import ActivationSpec, LayerDef, LayeredModel, load_model, model_io, save_model
+from helpers import INVALID, MINIMAL, RELU_EYE, overflowing_activation_model, run_cli, seeded_model
 
-MINIMAL = '{"schema_version": "1", "input_dim": 2, "layers": [{"weights": [[1, 2]], "activation": {"kind": "identity"}}]}'
-INVALID = MINIMAL.replace("[[1, 2]]", "[[1, 2, 3]]")
-RELU_EYE = MINIMAL.replace("[[1, 2]]", "[[1, 0], [0, 1]]").replace('"identity"', '"relu"')
 SMOOTH_INPUT = "0.1,-0.2,0.3,-0.4"
 
 
@@ -48,12 +45,6 @@ def parses(monkeypatch):
 
 def sidecar_of(path):
     return path.parent / "__jacprop_cache__" / f"{path.name}.npz"
-
-
-def run(capsys, *argv):
-    code = cli.run([str(arg) for arg in argv])
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 def write(path, text):
@@ -84,28 +75,28 @@ def invocations(tmp_path):
     return out
 
 
-def test_cold_and_warm_runs_are_byte_identical(tmp_path, capsys, parses):
+def test_cold_and_warm_runs_are_byte_identical(tmp_path, parses):
     codes = set()
     for argv in invocations(tmp_path):
         path = argv[argv.index("--model") + 1]
         shutil.rmtree(path.parent / "__jacprop_cache__", ignore_errors=True)
-        cold = run(capsys, *argv)
+        cold = run_cli(*argv)
         assert sidecar_of(path).is_file() and len(parses) == 1, argv
-        warm = run(capsys, *argv)
+        warm = run_cli(*argv)
         assert len(parses) == 1, argv  # the warm run rebuilt the model
         assert warm == cold, argv
-        codes.add(cold[0])
+        codes.add(cold.returncode)
         parses.clear()
     assert codes == {0, 1, 3, 4}
 
 
-def test_same_size_edit_is_parsed_and_cached_again(tmp_path, capsys, parses):
+def test_same_size_edit_is_parsed_and_cached_again(tmp_path, parses):
     path = write(tmp_path / "m.json", MINIMAL)
-    assert run(capsys, "forward", "--model", path, "--input", "1,1") == (0, "3\n", "")
+    assert run_cli("forward", "--model", path, "--input", "1,1") == (0, "3\n", "")
     write(path, MINIMAL.replace("[[1, 2]]", "[[1, 3]]"))
-    assert run(capsys, "forward", "--model", path, "--input", "1,1") == (0, "4\n", "")
+    assert run_cli("forward", "--model", path, "--input", "1,1") == (0, "4\n", "")
     assert len(parses) == 2
-    assert run(capsys, "forward", "--model", path, "--input", "1,1") == (0, "4\n", "")
+    assert run_cli("forward", "--model", path, "--input", "1,1") == (0, "4\n", "")
     assert len(parses) == 2
 
 
@@ -191,37 +182,37 @@ DAMAGE = {
 
 
 @pytest.mark.parametrize("damage", DAMAGE.values(), ids=DAMAGE.keys())
-def test_a_bad_sidecar_is_a_silent_miss_and_is_rewritten(tmp_path, capsys, parses, damage):
+def test_a_bad_sidecar_is_a_silent_miss_and_is_rewritten(tmp_path, parses, damage):
     path = write(tmp_path / "m.json", MINIMAL)
     argv = ("jacobian", "--model", path, "--input", "1,1")
-    expected = run(capsys, *argv)
+    expected = run_cli(*argv)
     damage(sidecar_of(path), tmp_path)
     parses.clear()
-    assert run(capsys, *argv) == expected
+    assert run_cli(*argv) == expected
     assert len(parses) == 1
-    assert run(capsys, *argv) == expected
+    assert run_cli(*argv) == expected
     assert len(parses) == 1
 
 
-def test_a_sidecar_of_another_user_is_a_miss(tmp_path, capsys, parses, monkeypatch):
+def test_a_sidecar_of_another_user_is_a_miss(tmp_path, parses, monkeypatch):
     path = write(tmp_path / "m.json", MINIMAL)
-    expected = run(capsys, "validate", "--model", path)
+    expected = run_cli("validate", "--model", path)
     monkeypatch.setattr(os, "geteuid", lambda: os.getuid() + 1)
-    assert run(capsys, "validate", "--model", path) == expected
+    assert run_cli("validate", "--model", path) == expected
     assert len(parses) == 2
 
 
-def test_a_file_named_like_the_cache_directory_is_left_alone(tmp_path, capsys, parses):
+def test_a_file_named_like_the_cache_directory_is_left_alone(tmp_path, parses):
     path = write(tmp_path / "m.json", MINIMAL)
     (tmp_path / "__jacprop_cache__").write_text("mine")
     for _ in range(2):
-        assert run(capsys, "forward", "--model", path, "--input", "1,1") == (0, "3\n", "")
+        assert run_cli("forward", "--model", path, "--input", "1,1") == (0, "3\n", "")
     assert len(parses) == 2
     assert (tmp_path / "__jacprop_cache__").read_text() == "mine"
 
 
 @pytest.mark.parametrize("where", ["makedirs", "savez"])
-def test_a_failed_write_leaves_no_file(tmp_path, capsys, parses, monkeypatch, where):
+def test_a_failed_write_leaves_no_file(tmp_path, parses, monkeypatch, where):
     path = write(tmp_path / "m.json", MINIMAL)
 
     def fail(*args, **kwargs):
@@ -230,18 +221,18 @@ def test_a_failed_write_leaves_no_file(tmp_path, capsys, parses, monkeypatch, wh
         raise OSError(errno.ENOSPC, "No space left on device")
 
     monkeypatch.setattr(os if where == "makedirs" else np, where, fail)
-    assert run(capsys, "forward", "--model", path, "--input", "1,1") == (0, "3\n", "")
+    assert run_cli("forward", "--model", path, "--input", "1,1") == (0, "3\n", "")
     cache = tmp_path / "__jacprop_cache__"
     assert not cache.exists() or list(cache.iterdir()) == []
 
 
-def test_a_stream_gets_no_sidecar(tmp_path, capsys, parses):
+def test_a_stream_gets_no_sidecar(tmp_path, parses):
     path = tmp_path / "m.json"
     os.mkfifo(path)
     for _ in range(2):
         writer = threading.Thread(target=path.write_text, args=(MINIMAL,))
         writer.start()
-        assert run(capsys, "forward", "--model", path, "--input", "1,1") == (0, "3\n", "")
+        assert run_cli("forward", "--model", path, "--input", "1,1") == (0, "3\n", "")
         writer.join(timeout=10)
         assert not writer.is_alive()
     assert len(parses) == 2
@@ -253,11 +244,11 @@ def test_a_stream_gets_no_sidecar(tmp_path, capsys, parses):
     [(INVALID.encode(), 2), (b"not json", 1), (b"\xff" + MINIMAL.encode(), 1), (MINIMAL.encode()[:-1], 1)],
     ids=["invalid-model", "syntax-error", "non-utf8", "truncated"],
 )
-def test_an_invalid_document_leaves_no_sidecar(tmp_path, capsys, data, code):
+def test_an_invalid_document_leaves_no_sidecar(tmp_path, data, code):
     path = tmp_path / "m.json"
     path.write_bytes(data)
     for argv in (("validate", "--model", path), ("jacobian", "--model", path, "--input", "1,1")):
-        assert run(capsys, *argv)[0] == code
+        assert run_cli(*argv).returncode == code
     assert not (tmp_path / "__jacprop_cache__").exists()
 
 
