@@ -185,6 +185,22 @@ class TestJacobian:
             matrix = activation_jacobian(make_spec(kind), z).matrix
             assert np.array_equal(matrix, np.diag(np.diag(matrix))), kind
 
+    def test_all_kinds_match_central_differences(self):
+        # 100 random points per kind, |z| <= 10, relu kinks excluded
+        rng = np.random.default_rng(1234)
+        for kind in sorted(KINDS):
+            spec = make_spec(kind)
+            for _ in range(100):
+                z = rng.uniform(-10.0, 10.0, size=int(rng.integers(1, 7)))
+                if kind in ("relu", "leaky_relu"):
+                    z = z[np.abs(z) > 1e-4]
+                    if z.size == 0:
+                        continue
+                exact = activation_jacobian(spec, z).matrix
+                estimate = fd_activation_jacobian(spec, z, h=1e-6)
+                assert np.max(np.abs(exact - estimate)) <= 1e-6, kind
+
+
 def _worst_relative_errors(kind: str, z) -> tuple[Decimal, Decimal]:
     """The largest relative errors of the package's value and slope against the 50-digit reference."""
     spec = ActivationSpec(kind)

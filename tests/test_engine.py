@@ -8,6 +8,7 @@ import pytest
 
 from jacprop import (
     ActivationSpec,
+    EvalCounter,
     FDConfig,
     LayerDef,
     LayeredModel,
@@ -21,6 +22,7 @@ from jacprop import (
     jacobian_at_layer,
     jacobian_forward,
     prefix_model,
+    suffix_model,
 )
 from jacprop import engine
 from helpers import (
@@ -96,6 +98,12 @@ class TestAlgorithm:
         estimate = finite_difference_jacobian(model, x, FDConfig(step=1e-5, scheme="central"))
         assert np.max(np.abs(trace.full - estimate)) <= 1e-6
 
+    def test_seed7_intermediate_equals_truncated_model(self):
+        model, x = spec_seed7_model()
+        trace = jacobian_forward(model, x)
+        truncated = jacobian_forward(prefix_model(model, 2), x)
+        assert np.max(np.abs(jacobian_at_layer(trace, 2) - truncated.full)) <= 1e-12
+
     def test_trace_shapes_and_contents(self):
         model, x = spec_seed7_model()
         trace = jacobian_forward(model, x)
@@ -118,6 +126,18 @@ class TestAlgorithm:
             truncated = jacobian_forward(prefix_model(model, layer), x)
             assert np.max(np.abs(jacobian_at_layer(trace, layer) - truncated.full)) <= 1e-12
 
+    def test_chain_rule_split(self):
+        for seed in (0, 1, 2, 3, 4):
+            model, x = random_smooth_model(seed)
+            if model.layer_count < 3:
+                continue
+            trace = jacobian_forward(model, x)
+            k = 2 + seed % (model.layer_count - 2)
+            a_k = forward(model, x)[k - 1]
+            prefix_jac = jacobian_forward(prefix_model(model, k), x).full
+            suffix_jac = jacobian_forward(suffix_model(model, k), a_k).full
+            assert np.max(np.abs(suffix_jac @ prefix_jac - trace.full)) <= 1e-10
+
     def test_folded_bias_drops_constant_column(self):
         rng = np.random.default_rng(21)
         w1 = fold_bias(rng.uniform(-1, 1, size=(4, 3)), rng.uniform(-1, 1, size=4))
@@ -134,6 +154,18 @@ class TestAlgorithm:
         assert trace.full.shape == (2, 3)
         estimate = finite_difference_jacobian(model, x, FDConfig(step=1e-5, scheme="central"))
         assert np.max(np.abs(trace.full - estimate)) <= 1e-6
+
+    def test_softmax_last_layer_columns_sum_to_zero(self):
+        model, x = spec_seed7_model()
+        trace = jacobian_forward(model, x)
+        assert np.max(np.abs(np.sum(trace.full, axis=0))) <= 1e-10
+
+    def test_one_pass_traversal_counts(self):
+        model, x = random_smooth_model(9)
+        counter = EvalCounter()
+        jacobian_forward(model, x, counter=counter)
+        assert counter.model_evals == 1
+        assert counter.weighted_input_evals == model.layer_count - 1
 
 
 class TestAccessor:
@@ -286,6 +318,30 @@ class TestErrors:
         for run in (forward, jacobian_forward):
             with pytest.raises(NonFiniteError, match="^non-finite activation at layer 2$"):
                 run(overflowing_activation_model(), [-1e10])
+
+
+class TestOracleSweep:
+    def test_smooth_models_match_finite_differences(self):
+        # smaller sweep here; the acceptance suite runs the full 200
+        for seed in range(25):
+            model, x = random_smooth_model(seed)
+            trace = jacobian_forward(model, x)
+            estimate = finite_difference_jacobian(model, x, FDConfig(step=1e-5, scheme="central"))
+            scale = 1.0 + np.max(np.abs(trace.full))
+            assert np.max(np.abs(trace.full - estimate)) <= 1e-5 * scale, seed
+
+    def test_linear_collapse(self):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            depth = int(rng.integers(2, 5))
+            widths = [int(w) for w in rng.integers(1, 8, size=depth + 1)]
+            model = seeded_model(seed, widths, ["identity"] * depth)
+            x = rng.uniform(-2.0, 2.0, size=widths[0])
+            product = np.eye(model.input_dim)
+            for layer in model.layers:
+                product = layer.weights @ product
+            trace = jacobian_forward(model, x)
+            assert np.max(np.abs(trace.full - product)) <= 1e-12
 
 
 class TestPlan:
