@@ -38,9 +38,8 @@ import json
 import numbers
 import os
 import stat
-import tempfile
 import zipfile
-from dataclasses import asdict, astuple
+from dataclasses import asdict
 
 import numpy as np
 
@@ -170,7 +169,7 @@ def _build_model(doc) -> LayeredModel:
 
 # names the sidecar layout and load_model's rules: change it whenever either changes, so that no sidecar
 # outlives the rules it was parsed under
-_SIDECAR_FORMAT = "jacprop-sidecar-1"
+_SIDECAR_FORMAT = "jacprop-sidecar-2"
 _CACHE_DIR = "__jacprop_cache__"
 
 
@@ -209,7 +208,7 @@ def _read_model(path: str) -> LayeredModel:
         del text
         model = _build_model(doc)
         if cacheable:
-            _write_sidecar(sidecar, digest, model)
+            _write_sidecar(sidecar, digest, model, [layer["activation"] for layer in doc["layers"]])
     return model
 
 
@@ -222,10 +221,12 @@ def _from_sidecar(sidecar: str, digest: str) -> LayeredModel | None:
     """The model stored for digest, or None for a miss.
 
     A sidecar is read only when it is a regular file owned by the
-    effective user and not writable by group or others. The layers are
-    rebuilt through their constructors, so the model derives its
-    structure checks, finiteness and safe input again; a stale, foreign
-    or damaged sidecar, or one that rebuilds an invalid model, is a miss.
+    effective user and not writable by group or others. Each activation
+    is read by :func:`_parse_activation`, as the document's was, and the
+    layers are rebuilt through their constructors, so the model derives
+    its structure checks, finiteness and safe input again; a stale,
+    foreign or damaged sidecar, or one that rebuilds an invalid model, is
+    a miss.
     """
     try:
         with open(sidecar, "rb", opener=_nonblocking) as handle:
@@ -241,24 +242,28 @@ def _from_sidecar(sidecar: str, digest: str) -> LayeredModel | None:
                 if (tag, stored_digest) != (_SIDECAR_FORMAT, digest):
                     return None
                 layers = []
-                for index, (*activation, folded) in enumerate(specs):
+                for index, (activation, folded) in enumerate(specs):
                     weights = stored[f"w{index}"]
                     if weights.dtype != np.float64:  # LayerDef would convert it; its shape is LayerDef's to check
                         return None
-                    layers.append(LayerDef(weights, ActivationSpec(*activation), folded))
+                    layers.append(LayerDef(weights, _parse_activation(activation, sidecar), folded))
         model = LayeredModel(layers=tuple(layers), input_dim=input_dim)
-    except (OSError, ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile):
+    except (OSError, ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile, FormatError):
         return None
     return None if model._violations else model
 
 
-def _write_sidecar(sidecar: str, digest: str, model: LayeredModel) -> None:
+def _write_sidecar(sidecar: str, digest: str, model: LayeredModel, activations: list) -> None:
     """Store a valid model under digest: a temporary file in the sidecar's directory, then ``os.replace``.
 
-    Any OSError (an unwritable directory, a file where the cache
-    directory would be, a full disk) leaves no sidecar, without a word.
+    ``activations`` are the document's ``activation`` objects, stored as
+    it wrote them, next to each layer's folded-bias flag. Any OSError (an
+    unwritable directory, a file where the cache directory would be, a
+    full disk) leaves no sidecar, without a word.
     """
-    specs = [[*astuple(layer.activation), layer.bias_folded] for layer in model.layers]
+    import tempfile  # a miss's alone, as hashlib is _read_model's
+
+    specs = [[activation, layer.bias_folded] for activation, layer in zip(activations, model.layers)]
     meta = np.array(json.dumps([_SIDECAR_FORMAT, digest, model.input_dim, specs]))
     weights = {f"w{index}": layer.weights for index, layer in enumerate(model.layers)}
     directory = os.path.dirname(sidecar)

@@ -171,7 +171,10 @@ DAMAGE = {
     "wrong-format-tag": restored(meta=lambda m: ["jacprop-sidecar-0", *m[1:]]),
     "meta-not-a-list": restored(meta=lambda m: {"digest": m[1]}),
     "spec-not-a-list": restored(meta=lambda m: [*m[:3], [7]]),
-    "unknown-kind": restored(meta=lambda m: [*m[:3], [["swish", None, None, False]]]),
+    "unknown-kind": restored(meta=lambda m: [*m[:3], [[{"kind": "swish"}, False]]]),
+    "unknown-activation-key": restored(meta=lambda m: [*m[:3], [[{"kind": "identity", "slope": 1}, False]]]),
+    # the layout before activations were stored as written: positional fields with the defaults filled in
+    "sidecar-1-layout": restored(meta=lambda m: ["jacprop-sidecar-1", *m[1:3], [["identity", None, None, False]]]),
     "float32-weights": restored(w0=lambda w: w.astype(np.float32)),
     "big-endian-weights": restored(w0=lambda w: w.astype(">f8")),
     "1-d-weights": restored(w0=lambda w: w.ravel()),
@@ -276,6 +279,19 @@ def test_a_rebuilt_model_equals_a_fresh_parse(tmp_path, parses, model):
     assert all(not layer.weights.flags.writeable for layer in rebuilt.layers)
 
 
+def test_the_sidecar_holds_each_activation_as_the_document_wrote_it(tmp_path):
+    # no default is filled in: a rebuilt model gets the rules and defaults of the parse the document gets
+    relu = {"kind": "relu"}
+    leaky = {"relu_zero_policy": "reject", "alpha": 2, "kind": "leaky_relu"}
+    layers = [{"weights": [[1, 0], [0, 1]], "activation": relu}, {"weights": [[1, 2]], "bias": [3], "activation": leaky}]
+    path = write(tmp_path / "m.json", json.dumps({"schema_version": "1", "input_dim": 2, "layers": layers}))
+    model_io._read_model(str(path))
+    with np.load(sidecar_of(path)) as stored:
+        tag, _, _, specs = json.loads(stored["meta"].item())
+    assert (tag, specs) == ("jacprop-sidecar-2", [[relu, False], [leaky, True]])
+    assert [list(activation) for activation, _ in specs] == [["kind"], ["relu_zero_policy", "alpha", "kind"]]
+
+
 def test_cold_and_warm_subprocesses_agree_in_development_mode(tmp_path):
     # development mode reports unclosed files on stderr
     path = write(tmp_path / "smooth.json", save_model(smooth_model()))
@@ -301,7 +317,7 @@ def test_importing_the_package_loads_no_hashlib():
 # new _SIDECAR_FORMAT, or old sidecars would rebuild models the new rules parse differently
 SIDECAR_RULES = (
     "_parse_json", "_parse_int", "_unique_keys", "_build_model", "_require_keys", "_parse_weights", "_all_numbers",
-    "_parse_activation", "fold_bias", "_write_sidecar", "_from_sidecar",
+    "_parse_activation", "fold_bias", "_read_model", "_write_sidecar", "_from_sidecar",
 )
 
 
@@ -309,7 +325,7 @@ def test_the_format_tag_is_pinned_with_the_rules_it_names():
     # the source text, not ast.dump, whose output differs between Python versions
     source = "".join(inspect.getsource(getattr(model_io, name)) for name in SIDECAR_RULES)
     pinned = (model_io._SIDECAR_FORMAT, hashlib.sha256(source.encode("utf-8")).hexdigest())
-    assert pinned == ("jacprop-sidecar-1", "1cb545e517a91138d7259b0ceb96db531191025232268877a93e078b8d19e12b"), (
+    assert pinned == ("jacprop-sidecar-2", "b6e86ce46a692d7365a9f338f993aa7ea39ebfdf828ea5b1f62cb04c8f9192b4"), (
         "the source of load_model's rules or of the sidecar layout changed: bump model_io._SIDECAR_FORMAT if a "
         "rule or the layout changed, and keep it if the edit was cosmetic; either way, re-pin the tag and digest here"
     )
