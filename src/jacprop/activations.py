@@ -320,9 +320,17 @@ def elementwise_derivative(spec: ActivationSpec, z) -> tuple[np.ndarray, list[in
 
 
 def softmax_jacobian(z) -> np.ndarray:
-    """diag(s) - s s^T where s = softmax(z)."""
+    """diag(s) - s s^T where s = softmax(z), the dominant class m's diagonal taken as s_m sum_{k != m} s_k.
+
+    s_m - s_m^2 is exactly 0 once 1 - s_m is below the rounding unit, while
+    the other classes' sum keeps their accuracy. Only one class can exceed
+    1/2, so s_i - s_i^2 does not cancel for any other i.
+    """
     s = softmax(_as_finite_vector(z, "activation input"))
-    return np.diag(s) - np.outer(s, s)
+    jacobian = np.diag(s) - np.outer(s, s)
+    m = s.argmax()
+    jacobian[m, m] = s[m] * (np.add.reduce(s[:m]) + np.add.reduce(s[m + 1 :]))
+    return jacobian
 
 
 def activation_jacobian(spec: ActivationSpec, z) -> ActivationJacobian:

@@ -257,7 +257,8 @@ def decimal_jacobian(model, x):
     weighted input z* = W a* is summed in ``Decimal``, and values and
     slopes come from :func:`decimal_activation`'s forms. relu and
     leaky_relu branch on z* itself. Softmax's factor is applied to
-    P = W J without forming it, as s_i (P_i - sum_k s_k P_k). No numpy
+    P = W J without forming it, as s_i sum_{k != i} s_k (P_i - P_k), which
+    keeps a saturated class's row where s_i rounds to 1. No numpy
     arithmetic is used. Returns ``(jacobian, layers)``: J* as a list of
     rows, and per weight layer ``(inputs, z, slope)``, where ``inputs`` is
     a* (with the folded bias's 1 appended) and ``slope`` the Jacobian's
@@ -279,8 +280,11 @@ def decimal_jacobian(model, x):
                 exps = [(v - peak).exp() for v in z]
                 total = sum(exps)
                 a = slope = [e / total for e in exps]
-                means = [sum(s * row[j] for s, row in zip(slope, product)) for j in range(len(product[0]))]
-                jacobian = [[s * (p - mean) for p, mean in zip(row, means)] for s, row in zip(slope, product)]
+                others = [[pair for k, pair in enumerate(zip(slope, product)) if k != i] for i in range(len(z))]
+                jacobian = [
+                    [s_i * sum(s_k * (p - row_k[j]) for s_k, row_k in rest) for j, p in enumerate(row)]
+                    for s_i, row, rest in zip(slope, product, others)
+                ]
             else:
                 a, slope = map(list, zip(*(_decimal_elementwise(layer.activation, v) for v in z)))
                 jacobian = [[d * p for p in row] for d, row in zip(slope, product)]

@@ -122,14 +122,15 @@ class TestBatchedProbes:
             assert np.max(np.abs(estimate - expected)) <= tolerance * scale, index
 
     def test_vector_pass_keeps_its_bits(self):
-        # pinned from the value pass before it took matrices: seed-7, and leaky_relu/softmax with folded biases
+        # pinned from the value pass before it took matrices, and seed-7's J since softmax's dominant diagonal
+        # became s_m sum_{k != m} s_k: seed-7, and leaky_relu/softmax with folded biases
         model, x = spec_seed7_model()
         assert [v.hex() for v in forward(model, x)[-1].tolist()] == [
             "0x1.44241c9ad7c2bp-2", "0x1.9f2b5ef989729p-2", "0x1.1cb0846b9ecabp-2",
         ]
         assert [v.hex() for v in jacobian_forward(model, x).full.ravel().tolist()] == [
             "-0x1.075154eaf4b9bp-4", "-0x1.e232b0b349006p-5", "0x1.370f1cabe0b6cp-4", "0x1.09e09ee89aad1p-3",
-            "0x1.3c0f878b633b6p-2", "0x1.414011021910dp-3", "-0x1.8a10f437383f9p-4", "-0x1.b85eafceeaeaap-3",
+            "0x1.3c0f878b633b6p-2", "0x1.414011021910ep-3", "-0x1.8a10f437383f7p-4", "-0x1.b85eafceeaea9p-3",
             "-0x1.f47664a14c19dp-3", "-0x1.9166c9aa8da10p-4", "0x1.4c075e2d5e245p-6", "0x1.5cfc21cca07b6p-4",
         ]
         biased = seeded_model(3, (3, 4, 2), ("leaky_relu", "softmax"), biased=(1, 2))
